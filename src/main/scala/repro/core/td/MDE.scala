@@ -15,6 +15,8 @@ object MDE {
   import TD.Inf
 
   private val ForcedOffset = 1 << 26
+  /** Bags must stay below this size: slot indices are packed in 16 bits. */
+  private val MaxBag = 1 << 16
 
   private def pairKey(a: Int, b: Int): Long =
     if (a < b) (a.toLong << 32) | b.toLong else (b.toLong << 32) | a.toLong
@@ -59,7 +61,6 @@ object MDE {
     val order = new Array[Int](n)
     val rawBag = new Array[Array[Int]](n)
     val rawSc = new Array[Array[Int]](n)
-    val supportersMap = new mutable.LongMap[mutable.ArrayBuffer[Int]]()
 
     var r = 0
     while (r < n) {
@@ -75,7 +76,7 @@ object MDE {
       val nbrs = adj(v).toArray
       rawBag(v) = nbrs.map(_._1)
       rawSc(v) = nbrs.map(_._2)
-      // All-pair shortcuts among the bag; record v as supporter of each pair.
+      // All-pair shortcuts among the bag.
       var i = 0
       while (i < nbrs.length) {
         val (a, wa) = nbrs(i)
@@ -85,7 +86,6 @@ object MDE {
           val ns = wa + wb
           val cur = adj(a).getOrElse(b, Inf)
           if (ns < cur) { adj(a)(b) = ns; adj(b)(a) = ns }
-          supportersMap.getOrElseUpdate(pairKey(a, b), new mutable.ArrayBuffer[Int](4)) += v
           j += 1
         }
         i += 1
@@ -102,14 +102,15 @@ object MDE {
       r += 1
     }
 
-    // Sort bags by rank descending (parent = last), build base/supporters.
+    // Sort bags by rank descending (parent = last), build base.
     val bag = new Array[Array[Int]](n)
     val sc = new Array[Array[Int]](n)
     val base = new Array[Array[Int]](n)
-    val sup = new Array[Array[Array[Int]]](n)
     val parent = Array.fill(n)(-1)
     var v = 0
     while (v < n) {
+      require(rawBag(v).length < MaxBag,
+        s"bag of vertex $v has ${rawBag(v).length} members; slot indices allow at most ${MaxBag - 1}")
       val idx = rawBag(v).indices.toArray.sortBy(i => -rank(rawBag(v)(i)))
       bag(v) = idx.map(rawBag(v))
       sc(v) = idx.map(rawSc(v))
@@ -117,12 +118,10 @@ object MDE {
         val k = pairKey(v, x)
         if (input.contains(k)) input(k) else Inf
       }
-      sup(v) = bag(v).map { x =>
-        supportersMap.get(pairKey(v, x)).map(_.toArray).getOrElse(Array.emptyIntArray)
-      }
       if (bag(v).nonEmpty) parent(v) = bag(v).last
       v += 1
     }
+    val (sup, supSlots, pairRefs) = triangles(n, order, bag)
 
     val childBuf = Array.fill(n)(new mutable.ArrayBuffer[Int](2))
     v = 0
@@ -139,7 +138,91 @@ object MDE {
       ri -= 1
     }
 
-    new TD(n, rank, order, parent, children, depth, bag, sc, base, sup, roots)
+    new TD(n, rank, order, parent, children, depth, bag, sc, base, sup, supSlots, pairRefs, roots)
+  }
+
+  /** The shortcut triangles of the final bags: vertex w supports the pair
+    * (bag(w)(pa), bag(w)(pb)) for every pa < pb, and the pair's slot lives in
+    * the bag of its lower-rank endpoint bag(w)(pb). Returns `TD.supporters`
+    * (each list in ascending rank), `TD.supSlots` and `TD.pairRefs`.
+    *
+    * Owners are visited one at a time: a position scratch array maps each
+    * member of the owner's bag to its slot, and a reverse-bag CSR lists the
+    * vertices whose bags hold the owner, so each triangle costs O(1).
+    */
+  private def triangles(n: Int, order: Array[Int], bag: Array[Array[Int]])
+      : (Array[Array[Array[Int]]], Array[Array[Array[Int]]], Array[Array[Long]]) = {
+    // Reverse bags: revW(off(o) until off(o + 1)) are the w with o in bag(w),
+    // ascending in rank, and revPos the position of o in each bag(w).
+    val off = new Array[Int](n + 1)
+    var v = 0
+    while (v < n) { bag(v).foreach(x => off(x + 1) += 1); v += 1 }
+    v = 0
+    while (v < n) { off(v + 1) += off(v); v += 1 }
+    val revW = new Array[Int](off(n))
+    val revPos = new Array[Int](off(n))
+    val fill = off.clone()
+    var r = 0
+    while (r < n) {
+      val w = order(r); val bw = bag(w)
+      var p = 0
+      while (p < bw.length) {
+        val o = bw(p)
+        revW(fill(o)) = w; revPos(fill(o)) = p; fill(o) += 1
+        p += 1
+      }
+      r += 1
+    }
+
+    val sup = new Array[Array[Array[Int]]](n)
+    val supSlots = new Array[Array[Array[Int]]](n)
+    val pairRefs = Array.tabulate(n) { w =>
+      val d = bag(w).length
+      if (d < 2) Array.emptyLongArray else new Array[Long](TD.pairIndex(d - 2, d - 1) + 1)
+    }
+    val pos = Array.fill(n)(-1)
+    var o = 0
+    while (o < n) {
+      val bo = bag(o)
+      var i = 0
+      while (i < bo.length) { pos(bo(i)) = i; i += 1 }
+      // Pass 1 counts each slot's supporters, pass 2 fills the lists.
+      val count = new Array[Int](bo.length)
+      var k = off(o)
+      while (k < off(o + 1)) {
+        val bw = bag(revW(k))
+        var pa = 0
+        while (pa < revPos(k)) {
+          val s = pos(bw(pa))
+          require(s >= 0, s"pair ($o,${bw(pa)}) has no slot")
+          count(s) += 1
+          pa += 1
+        }
+        k += 1
+      }
+      val so = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
+      val po = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
+      java.util.Arrays.fill(count, 0)
+      k = off(o)
+      while (k < off(o + 1)) {
+        val w = revW(k); val bw = bag(w); val pb = revPos(k); val refs = pairRefs(w)
+        var pa = 0
+        while (pa < pb) {
+          val s = pos(bw(pa)); val j = count(s)
+          so(s)(j) = w
+          po(s)(j) = (pb << 16) | pa
+          refs(TD.pairIndex(pa, pb)) = (s.toLong << 32) | j.toLong
+          count(s) = j + 1
+          pa += 1
+        }
+        k += 1
+      }
+      sup(o) = so; supSlots(o) = po
+      i = 0
+      while (i < bo.length) { pos(bo(i)) = -1; i += 1 }
+      o += 1
+    }
+    (sup, supSlots, pairRefs)
   }
 
   /** Phase-1 contraction: eliminate only the `contract`-marked vertices by

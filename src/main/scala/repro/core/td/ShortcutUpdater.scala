@@ -29,9 +29,14 @@ final case class ShortcutUpdateResult(
   * shortcut-centric paradigm. Encoded slots are `rank(owner) << 20 | slot`.
   *
   * Like DCH's shortcut supporting graph, each slot remembers which
-  * provider (the base edge or one supporter vertex) currently attains the
-  * min, so a touched slot is usually an O(1) check: a full supporter
-  * rescan is needed only when the attaining provider itself increased.
+  * provider (the base edge or one supporter) currently attains the min,
+  * so a touched slot is usually an O(1) check: a full supporter rescan is
+  * needed only when the attaining provider itself increased. Providers,
+  * the `argmin` entries and the causes queued with a slot are supporter
+  * indices into `td.supporters(owner)(slot)`, not vertex ids. With the
+  * triangle tables of [[TD]] a contribution is two reads at
+  * `td.supSlots`, and a changed slot finds each pair it supports, and its
+  * own index there, in `td.pairRefs`: no pass scans a bag.
   *
   * With `boundaryFlag` set (PMHL partition indexes), the phase-1 value of
   * boundary-boundary slots — min over *non-boundary* supporters only — is
@@ -49,20 +54,36 @@ final class ShortcutUpdater(val td: TD, boundaryFlag: Array[Boolean] = null) {
     */
   private val Rescan = -2
 
-  /** Current min provider per slot: `Base` or a supporter vertex id. */
+  /** Contribution of a supporter `w` whose triangle halves are at `at`
+    * (a `td.supSlots` entry).
+    */
+  @inline private def via(w: Int, at: Int): Int = {
+    val sw = td.sc(w)
+    sw(at >>> 16) + sw(at & 0xffff)
+  }
+
+  /** Value of provider `p` (`Base` or a supporter index) for slot (o, slot). */
+  private def value(o: Int, slot: Int, p: Int): Int =
+    if (p == Base) td.base(o)(slot) else via(td.supporters(o)(slot)(p), td.supSlots(o)(slot)(p))
+
+  /** Provider attaining the minimum of slot (o, slot), by full rescan. */
+  private def scan(o: Int, slot: Int): Int = {
+    val sups = td.supporters(o)(slot); val at = td.supSlots(o)(slot)
+    var m = td.base(o)(slot); var arg = Base
+    var j = 0
+    while (j < sups.length) {
+      val c = via(sups(j), at(j))
+      if (c < m) { m = c; arg = j }
+      j += 1
+    }
+    arg
+  }
+
+  /** Current min provider per slot: `Base` or a supporter index. */
   private val argmin: Array[Array[Int]] = Array.tabulate(td.n) { v =>
-    val bg = td.bag(v)
-    Array.tabulate(bg.length) { i =>
-      var m = td.base(v)(i); var arg = Base
-      val sups = td.supporters(v)(i)
-      var j = 0
-      while (j < sups.length) {
-        val w = sups(j)
-        val c = td.scOf(w, v) + td.scOf(w, bg(i))
-        if (c < m) { m = c; arg = w }
-        j += 1
-      }
-      require(m == td.sc(v)(i), s"sc invariant broken at ($v,${bg(i)})")
+    Array.tabulate(td.bag(v).length) { i =>
+      val arg = scan(v, i)
+      require(value(v, i, arg) == td.sc(v)(i), s"sc invariant broken at ($v,${td.bag(v)(i)})")
       arg
     }
   }
@@ -78,17 +99,15 @@ final class ShortcutUpdater(val td: TD, boundaryFlag: Array[Boolean] = null) {
     }
 
   private def phase1Value(o: Int, slot: Int): Int = {
-    val b = td.bag(o)(slot)
     var m = td.base(o)(slot)
-    val sups = td.supporters(o)(slot)
-    var i = 0
-    while (i < sups.length) {
-      val w = sups(i)
-      if (!boundaryFlag(w)) {
-        val s = td.scOf(w, o) + td.scOf(w, b)
+    val sups = td.supporters(o)(slot); val at = td.supSlots(o)(slot)
+    var j = 0
+    while (j < sups.length) {
+      if (!boundaryFlag(sups(j))) {
+        val s = via(sups(j), at(j))
         if (s < m) m = s
       }
-      i += 1
+      j += 1
     }
     m
   }
@@ -119,6 +138,7 @@ final class ShortcutUpdater(val td: TD, boundaryFlag: Array[Boolean] = null) {
   def seed(changes: Iterable[(Int, Int, Int)]): IndexedSeq[Long] = {
     val out = new mutable.ArrayBuffer[Long]()
     changes.foreach { case (u, v, w) =>
+      require(w > 0, s"non-positive weight $w on edge ($u,$v)")
       val o = td.pairOwner(u, v)
       val x = if (o == u) v else u
       val slot = td.slotOf(o, x)
@@ -131,87 +151,82 @@ final class ShortcutUpdater(val td: TD, boundaryFlag: Array[Boolean] = null) {
     out.toIndexedSeq
   }
 
+  // Per-slot and per-owner scratch reused across process() calls: hash
+  // maps per touched slot would dominate millisecond-scale update stages.
+  // Epoch stamps make reuse O(1); concurrent calls (PostMHL
+  // partition-parallel U-Stage 2) touch disjoint owners, so each row and
+  // each affectedEpoch entry has a single writer.
+  private val queuedEpoch = new Array[Array[Int]](td.n)
+  /** First node of the slot's cause list in the current call's [[CauseLists]]. */
+  private val causeHead = new Array[Array[Int]](td.n)
+  private val affectedEpoch = new Array[Int](td.n)
+  private val epochCounter = new java.util.concurrent.atomic.AtomicInteger(0)
+
   /** Recompute seeded slots bottom-up; propagate while `ownerFilter` admits
     * the owner, deferring the rest. Single pass must see seeds for all
     * admissible owners up front (propagation only moves rank-upward).
     */
-  // Per-slot scratch reused across process() calls: hash maps per touched
-  // slot would dominate millisecond-scale update stages. Epoch stamps make
-  // reuse O(1); concurrent calls (PostMHL partition-parallel U-Stage 2)
-  // touch disjoint owners, so per-owner rows have a single writer.
-  private val causesStore = new Array[Array[mutable.ArrayBuffer[Int]]](td.n)
-  private val queuedEpoch = new Array[Array[Int]](td.n)
-  private val epochCounter = new java.util.concurrent.atomic.AtomicInteger(0)
-
   def process(seeds: IndexedSeq[Long],
               ownerFilter: Int => Boolean = _ => true,
               rescanSeeds: IndexedSeq[Long] = IndexedSeq.empty): ShortcutUpdateResult = {
     val epoch = epochCounter.incrementAndGet()
-    val pq = new java.util.PriorityQueue[java.lang.Long]()
+    val heap = new LongHeap
+    val causes = new CauseLists
     val deferred = new mutable.ArrayBuffer[Long]()
     val deferredSet = new mutable.HashSet[Long]()
-    val affected = new mutable.ArrayBuffer[Int]()
-    val affectedSet = new mutable.HashSet[Int]()
+    val affected = new mutable.ArrayBuilder.ofInt
     val overlayChanges = new mutable.ArrayBuffer[(Int, Int, Int)]()
 
-    def push(e: Long, cause: Int): Unit = {
-      val o = decodeOwner(e)
+    def push(o: Int, s: Int, cause: Int): Unit =
       if (ownerFilter(o)) {
-        val s = decodeSlot(e)
-        if (queuedEpoch(o) == null) {
-          queuedEpoch(o) = new Array[Int](td.bag(o).length)
-          causesStore(o) = new Array[mutable.ArrayBuffer[Int]](td.bag(o).length)
+        var queued = queuedEpoch(o)
+        if (queued == null) {
+          queued = new Array[Int](td.bag(o).length)
+          causeHead(o) = new Array[Int](queued.length)
+          queuedEpoch(o) = queued
         }
-        if (queuedEpoch(o)(s) != epoch) {
-          queuedEpoch(o)(s) = epoch
-          if (causesStore(o)(s) == null) causesStore(o)(s) = new mutable.ArrayBuffer[Int](4)
-          else causesStore(o)(s).clear()
-          pq.add(e)
+        val heads = causeHead(o)
+        if (queued(s) != epoch) {
+          queued(s) = epoch
+          heads(s) = -1
+          heap.push(encode(o, s))
         }
-        causesStore(o)(s) += cause
-      } else if (deferredSet.add(e)) deferred += e
-    }
-    seeds.foreach(push(_, Base))
-    rescanSeeds.foreach(push(_, Rescan))
+        heads(s) = causes.add(cause, heads(s))
+      } else {
+        val e = encode(o, s)
+        if (deferredSet.add(e)) deferred += e
+      }
+    seeds.foreach(e => push(decodeOwner(e), decodeSlot(e), Base))
+    rescanSeeds.foreach(e => push(decodeOwner(e), decodeSlot(e), Rescan))
 
-    while (!pq.isEmpty) {
-      val e = pq.poll().longValue()
+    while (heap.nonEmpty) {
+      val e = heap.pop()
       val o = decodeOwner(e); val slot = decodeSlot(e)
       val b = td.bag(o)(slot)
-      val cs = causesStore(o)(slot)
+      val sups = td.supporters(o)(slot); val at = td.supSlots(o)(slot)
       val old = td.sc(o)(slot)
       val am = argmin(o)(slot)
-
-      def contribution(p: Int): Int =
-        if (p == Base) td.base(o)(slot) else td.scOf(p, o) + td.scOf(p, b)
 
       var best = old; var bestArg = am
       var argminIncreased = false
       var mustRescan = false
       var ovTouched = false
-      var ci = 0
-      while (ci < cs.length) {
-        val p = cs(ci)
+      var node = causeHead(o)(slot)
+      while (node != -1) {
+        val p = causes.cause(node)
         if (p == Rescan) { mustRescan = true; ovTouched = true }
         else {
-          val c = contribution(p)
+          val c = if (p == Base) td.base(o)(slot) else via(sups(p), at(p))
           if (c < best) { best = c; bestArg = p }
           if (p == am && c > old) argminIncreased = true
-          if (trackOverlay && (p == Base || !boundaryFlag(p))) ovTouched = true
+          if (trackOverlay && (p == Base || !boundaryFlag(sups(p)))) ovTouched = true
         }
-        ci += 1
+        node = causes.next(node)
       }
       if (mustRescan || (best >= old && argminIncreased)) {
         // the attaining provider went up — full rescan for the new min
-        best = td.base(o)(slot); bestArg = Base
-        val sups = td.supporters(o)(slot)
-        var j = 0
-        while (j < sups.length) {
-          val w = sups(j)
-          val c = td.scOf(w, o) + td.scOf(w, b)
-          if (c < best) { best = c; bestArg = w }
-          j += 1
-        }
+        bestArg = scan(o, slot)
+        best = value(o, slot, bestArg)
       }
       if (trackOverlay && ovTouched && boundaryFlag(o) && boundaryFlag(b)) {
         val nov = phase1Value(o, slot)
@@ -220,27 +235,82 @@ final class ShortcutUpdater(val td: TD, boundaryFlag: Array[Boolean] = null) {
       argmin(o)(slot) = bestArg
       if (best != old) {
         td.sc(o)(slot) = best
-        if (affectedSet.add(o)) affected += o
-        // The changed entry supports every pair (b, c) inside o's bag.
-        val bg = td.bag(o)
+        if (affectedEpoch(o) != epoch) { affectedEpoch(o) = epoch; affected += o }
+        // The changed entry supports every pair (b, c) inside o's bag: for
+        // c ranked above b the pair's owner is b, otherwise c.
+        val bg = td.bag(o); val refs = td.pairRefs(o)
         var j = 0
+        while (j < slot) {
+          val ref = refs(TD.pairIndex(j, slot))
+          push(b, (ref >>> 32).toInt, ref.toInt)
+          j += 1
+        }
+        j = slot + 1
         while (j < bg.length) {
-          if (j != slot) {
-            val c = bg(j)
-            val ow2 = td.pairOwner(b, c)
-            val other = if (ow2 == b) c else b
-            val s2 = td.slotOf(ow2, other)
-            require(s2 >= 0, s"pair ($b,$c) has no slot")
-            push(encode(ow2, s2), o)
-          }
+          val ref = refs(TD.pairIndex(slot, j))
+          push(bg(j), (ref >>> 32).toInt, ref.toInt)
           j += 1
         }
       }
     }
-    ShortcutUpdateResult(affected.toArray, deferred.toArray, overlayChanges.toIndexedSeq)
+    ShortcutUpdateResult(affected.result(), deferred.toArray, overlayChanges.toIndexedSeq)
   }
 
   /** Convenience: seed + full single-threaded pass. */
   def applyInputChanges(changes: Iterable[(Int, Int, Int)]): ShortcutUpdateResult =
     process(seed(changes))
+}
+
+/** Binary min-heap of encoded slots. */
+private final class LongHeap {
+  private var a = new Array[Long](64)
+  private var size = 0
+
+  def nonEmpty: Boolean = size > 0
+
+  def push(x: Long): Unit = {
+    if (size == a.length) a = java.util.Arrays.copyOf(a, 2 * size)
+    var i = size
+    size += 1
+    while (i > 0 && a((i - 1) >>> 1) > x) { a(i) = a((i - 1) >>> 1); i = (i - 1) >>> 1 }
+    a(i) = x
+  }
+
+  def pop(): Long = {
+    val top = a(0)
+    size -= 1
+    val x = a(size)
+    var i = 0
+    var done = size == 0
+    while (!done) {
+      var c = 2 * i + 1
+      if (c >= size) done = true
+      else {
+        if (c + 1 < size && a(c + 1) < a(c)) c += 1
+        if (a(c) < x) { a(i) = a(c); i = c } else done = true
+      }
+    }
+    if (size > 0) a(i) = x
+    top
+  }
+}
+
+/** The cause lists of one `process` call: singly linked lists of provider
+  * indices in two growable arrays, each list ending at node -1.
+  */
+private final class CauseLists {
+  var cause = new Array[Int](256)
+  var next = new Array[Int](256)
+  private var size = 0
+
+  /** Prepend `c` to the list starting at `head`; returns the new head. */
+  def add(c: Int, head: Int): Int = {
+    if (size == cause.length) {
+      cause = java.util.Arrays.copyOf(cause, 2 * size)
+      next = java.util.Arrays.copyOf(next, 2 * size)
+    }
+    cause(size) = c; next(size) = head
+    size += 1
+    size - 1
+  }
 }

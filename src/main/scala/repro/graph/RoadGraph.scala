@@ -47,6 +47,7 @@ final class RoadGraph(
 
   /** Set the weight of undirected edge (u, v) in both arc directions. */
   def setWeight(u: Int, v: Int, nw: Int): Unit = {
+    require(nw > 0, "non-positive weight")
     val i = arcIndex(u, v); val j = arcIndex(v, u)
     require(i >= 0 && j >= 0, s"edge ($u,$v) not present")
     w(i) = nw; w(j) = nw
