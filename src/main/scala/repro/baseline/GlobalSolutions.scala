@@ -19,107 +19,55 @@ final class BiDijkstraSolution(g0: RoadGraph) extends Solution {
   def bestQuery(s: Int, t: Int): Int = BiDijkstra.query(graph, s, t)
 }
 
+/** Global (non-partitioned) MHL engine (§V-A): MDE shortcut arrays kept by
+  * `ShortcutUpdater`, then optionally H2H labels on the same tree. Query
+  * stages: BiDijkstra while shortcuts are repaired, then CH over the
+  * shortcut arrays (if `ch`), then H2H once labels are repaired (if
+  * `labels`). By Lemma 4 the CH update is the first phase of the H2H
+  * update, so the global baselines are this engine with stages removed.
+  */
+class GlobalMHLSolution(g0: RoadGraph, val name: String, ch: Boolean, labels: Boolean)
+    extends Solution {
+  val graph: RoadGraph = g0.copyWeights()
+  private val t0 = System.nanoTime()
+  private val td = MDE.decompose(graph.n, graph.undirectedEdges)
+  private val upd = new ShortcutUpdater(td)
+  private val lab = if (labels) { val l = new H2HIndex(td); l.build(); td.buildLca(); l } else null
+  private val chq = if (ch) new CHQuery(UpwardGraph.fromTD(td)) else null
+  val buildSeconds: Double = (System.nanoTime() - t0) / 1e9
+  def indexEntries: Long = td.slotCount + (if (labels) lab.labelEntries else 0L)
+  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
+    val t0 = System.nanoTime()
+    def elapsed: Double = (System.nanoTime() - t0) / 1e9
+    batch.foreach { case (u, v, w) => graph.setWeight(u, v, w) }
+    val stages = IndexedSeq.newBuilder[QueryStage]
+    stages += QueryStage(elapsed, "BiDij", (s, t) => BiDijkstra.query(graph, s, t))
+    val res = upd.applyInputChanges(batch)
+    if (ch) stages += QueryStage(elapsed, "CH", (s, t) => chq.query(s, t))
+    if (labels) {
+      lab.updateSubtrees(res.affected)
+      stages += QueryStage(elapsed, "H2H", (s, t) => lab.query(s, t))
+    }
+    stages.result()
+  }
+  def bestQuery(s: Int, t: Int): Int = if (labels) lab.query(s, t) else chq.query(s, t)
+}
+
 /** DCH [32]: global CH index with shortcut-centric maintenance; CH query.
   * BiDijkstra serves queries while the shortcuts are being repaired.
   */
-final class DCHSolution(g0: RoadGraph) extends Solution {
-  val graph: RoadGraph = g0.copyWeights()
-  val name = "DCH"
-  private var td: TD = _
-  private var upd: ShortcutUpdater = _
-  private var ch: CHQuery = _
-  val buildSeconds: Double = {
-    val t0 = System.nanoTime()
-    td = MDE.decompose(graph.n, graph.undirectedEdges)
-    upd = new ShortcutUpdater(td)
-    ch = new CHQuery(UpwardGraph.fromTD(td))
-    (System.nanoTime() - t0) / 1e9
-  }
-  def indexEntries: Long = td.slotCount
-  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
-    val t0 = System.nanoTime()
-    batch.foreach { case (u, v, w) => graph.setWeight(u, v, w) }
-    val t1 = (System.nanoTime() - t0) / 1e9
-    upd.applyInputChanges(batch)
-    val t2 = (System.nanoTime() - t0) / 1e9
-    IndexedSeq(
-      QueryStage(t1, "BiDij", (s, t) => BiDijkstra.query(graph, s, t)),
-      QueryStage(t2, "CH", bestQuery),
-    )
-  }
-  def bestQuery(s: Int, t: Int): Int = ch.query(s, t)
-}
+final class DCHSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "DCH", ch = true, labels = false)
 
 /** DH2H [33]: global H2H with shortcut + label maintenance; BiDijkstra
   * covers the entire (long) maintenance window — the paper's setup for
   * index-based baselines.
   */
-final class DH2HSolution(g0: RoadGraph) extends Solution {
-  val graph: RoadGraph = g0.copyWeights()
-  val name = "DH2H"
-  private var td: TD = _
-  private var upd: ShortcutUpdater = _
-  private var lab: H2HIndex = _
-  val buildSeconds: Double = {
-    val t0 = System.nanoTime()
-    td = MDE.decompose(graph.n, graph.undirectedEdges)
-    upd = new ShortcutUpdater(td)
-    lab = new H2HIndex(td); lab.build()
-    td.buildLca()
-    (System.nanoTime() - t0) / 1e9
-  }
-  def indexEntries: Long = td.slotCount + lab.labelEntries
-  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
-    val t0 = System.nanoTime()
-    batch.foreach { case (u, v, w) => graph.setWeight(u, v, w) }
-    val t1 = (System.nanoTime() - t0) / 1e9
-    val res = upd.applyInputChanges(batch)
-    lab.updateSubtrees(res.affected)
-    val t2 = (System.nanoTime() - t0) / 1e9
-    IndexedSeq(
-      QueryStage(t1, "BiDij", (s, t) => BiDijkstra.query(graph, s, t)),
-      QueryStage(t2, "H2H", bestQuery),
-    )
-  }
-  def bestQuery(s: Int, t: Int): Int = lab.query(s, t)
-}
+final class DH2HSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "DH2H", ch = false, labels = true)
 
 /** MHL (§V-A): the non-partitioned multi-stage index — DH2H extended with
   * the CH stage released between shortcut and label maintenance.
   */
-final class MHLSolution(g0: RoadGraph) extends Solution {
-  val graph: RoadGraph = g0.copyWeights()
-  val name = "MHL"
-  private var td: TD = _
-  private var upd: ShortcutUpdater = _
-  private var lab: H2HIndex = _
-  private var ch: CHQuery = _
-  val buildSeconds: Double = {
-    val t0 = System.nanoTime()
-    td = MDE.decompose(graph.n, graph.undirectedEdges)
-    upd = new ShortcutUpdater(td)
-    lab = new H2HIndex(td); lab.build()
-    ch = new CHQuery(UpwardGraph.fromTD(td))
-    td.buildLca()
-    (System.nanoTime() - t0) / 1e9
-  }
-  def indexEntries: Long = td.slotCount + lab.labelEntries
-  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
-    val t0 = System.nanoTime()
-    batch.foreach { case (u, v, w) => graph.setWeight(u, v, w) }
-    val t1 = (System.nanoTime() - t0) / 1e9
-    val res = upd.applyInputChanges(batch)
-    val t2 = (System.nanoTime() - t0) / 1e9
-    lab.updateSubtrees(res.affected)
-    val t3 = (System.nanoTime() - t0) / 1e9
-    IndexedSeq(
-      QueryStage(t1, "BiDij", (s, t) => BiDijkstra.query(graph, s, t)),
-      QueryStage(t2, "CH", (s, t) => ch.query(s, t)),
-      QueryStage(t3, "H2H", bestQuery),
-    )
-  }
-  def bestQuery(s: Int, t: Int): Int = lab.query(s, t)
-}
+final class MHLSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "MHL", ch = true, labels = true)
 
 /** TOAIN [37] adapted to dynamic networks exactly as the paper does: a
   * static CH(SCOB)-style index whose shortcuts are *refreshed* (rebuilt)

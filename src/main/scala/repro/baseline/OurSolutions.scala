@@ -4,55 +4,47 @@ import repro.graph.RoadGraph
 import repro.core.pmhl.PMHL
 import repro.core.postmhl.PostMHL
 
-/** PMHL (§V) as a Solution: five query stages released across U-Stages 1-5. */
-final class PMHLSolution(g0: RoadGraph, k: Int, threads: Int) extends Solution {
+/** PMHL (§V) as a Solution: the first `stages` of its five query stages,
+  * each released when the U-stage before it completes.
+  */
+class PMHLSolution(g0: RoadGraph, k: Int, threads: Int, stages: Int = 5) extends Solution {
   val graph: RoadGraph = g0.copyWeights()
-  val name = "PMHL"
-  val index = new PMHL(graph, k, threads)
+  val name: String = "PMHL"
+  val index = new PMHL(graph, k, threads, stages)
   val buildSeconds: Double = {
     val t0 = System.nanoTime()
     index.build()
     (System.nanoTime() - t0) / 1e9
   }
   def indexEntries: Long = index.indexEntries
+  private val queries = IndexedSeq[(String, (Int, Int) => Int)](
+    "BiDij" -> index.queryBiDijkstra, "PCH" -> index.queryPCH,
+    "NoB-H2H" -> index.queryNoBoundary, "PostB-H2H" -> index.queryPostBoundary,
+    "CrossB-H2H" -> index.queryCrossBoundary).take(stages)
   def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
     val st = index.applyUpdateBatch(batch)
-    IndexedSeq(
-      QueryStage(st.t(0), "BiDij", index.queryBiDijkstra),
-      QueryStage(st.t(1), "PCH", index.queryPCH),
-      QueryStage(st.t(2), "NoB-H2H", index.queryNoBoundary),
-      QueryStage(st.t(3), "PostB-H2H", index.queryPostBoundary),
-      QueryStage(st.t(4), "CrossB-H2H", index.queryCrossBoundary),
-    )
+    queries.zip(st.t).map { case ((label, q), t) => QueryStage(t, label, q) }
   }
-  def bestQuery(s: Int, t: Int): Int = index.queryCrossBoundary(s, t)
+  def bestQuery(s: Int, t: Int): Int = stages match {
+    case 2 => index.queryPCH(s, t)
+    case 4 => index.queryPostBoundary(s, t)
+    case _ => index.queryCrossBoundary(s, t)
+  }
 }
 
-/** P-TD-P [35]: the query-oriented post-boundary PSP baseline — exactly
-  * PMHL without the cross-boundary strategy (its best query concatenates
-  * partition and overlay labels for cross-partition pairs).
+/** N-CH-P [35]: the update-oriented no-boundary PSP index — PMHL stopped
+  * after U-Stage 2: partition and overlay shortcut arrays queried by PCH,
+  * no distance labels.
   */
-final class PTDPSolution(g0: RoadGraph, k: Int, threads: Int) extends Solution {
-  val graph: RoadGraph = g0.copyWeights()
-  val name = "P-TD-P"
-  val index = new PMHL(graph, k, threads, withCross = false)
-  val buildSeconds: Double = {
-    val t0 = System.nanoTime()
-    index.build()
-    (System.nanoTime() - t0) / 1e9
-  }
-  def indexEntries: Long = index.indexEntries
-  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
-    val st = index.applyUpdateBatch(batch)
-    IndexedSeq(
-      QueryStage(st.t(0), "BiDij", index.queryBiDijkstra),
-      QueryStage(st.t(1), "PCH", index.queryPCH),
-      QueryStage(st.t(2), "NoB-H2H", index.queryNoBoundary),
-      QueryStage(st.t(3), "PostB-H2H", index.queryPostBoundary),
-    )
-  }
-  def bestQuery(s: Int, t: Int): Int = index.queryPostBoundary(s, t)
-}
+final class NCHPSolution(g0: RoadGraph, k: Int, threads: Int)
+    extends PMHLSolution(g0, k, threads, stages = 2) { override val name = "N-CH-P" }
+
+/** P-TD-P [35]: the query-oriented post-boundary PSP index — PMHL stopped
+  * after U-Stage 4, without the cross-boundary strategy (its best query
+  * concatenates partition and overlay labels for cross-partition pairs).
+  */
+final class PTDPSolution(g0: RoadGraph, k: Int, threads: Int)
+    extends PMHLSolution(g0, k, threads, stages = 4) { override val name = "P-TD-P" }
 
 /** PostMHL (§VI) as a Solution: four query stages (Figure 9). */
 final class PostMHLSolution(g0: RoadGraph, tau: Int, ke: Int, threads: Int,

@@ -27,7 +27,10 @@ final class H2HIndex(val td: TD) {
     s
   }
 
-  private def computeDis(v: Int, pathDis: Array[Array[Int]]): Array[Int] = {
+  /** The label of `v` from its bag's shortcuts and `pathDis(j)`, the label
+    * of v's ancestor at depth j (only ancestors are read).
+    */
+  private[core] def computeDis(v: Int, pathDis: Array[Array[Int]]): Array[Int] = {
     val d = td.depth(v)
     val arr = new Array[Int](d + 1)
     java.util.Arrays.fill(arr, Inf)
@@ -80,20 +83,14 @@ final class H2HIndex(val td: TD) {
   /** DH2H-style top-down maintenance: recompute the subtrees rooted at the
     * highest affected vertices; returns the vertices whose labels changed.
     */
-  def updateSubtrees(affected: Iterable[Int]): Array[Int] = {
-    val set = new mutable.HashSet[Int]()
-    affected.foreach(set += _)
+  def updateSubtrees(affected: Array[Int]): Array[Int] = {
     val changed = new mutable.ArrayBuffer[Int]()
     val pathDis = new Array[Array[Int]](td.height)
-    for (v <- affected) {
-      var a = td.parent(v); var isRoot = true
-      while (a != -1 && isRoot) { if (set.contains(a)) isRoot = false; a = td.parent(a) }
-      if (isRoot) {
-        // Fill the path above v with current (unchanged) ancestor labels.
-        var x = td.parent(v)
-        while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
-        buildSubtree(v, pathDis, changed)
-      }
+    for (v <- td.subtreeTops(affected)) {
+      // Fill the path above v with current (unchanged) ancestor labels.
+      var x = td.parent(v)
+      while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
+      buildSubtree(v, pathDis, changed)
     }
     changed.toArray
   }

@@ -30,10 +30,16 @@ final case class StageTimes(t: Array[Double]) {
   *
   * Query stages (Figure 7): 1 BiDijkstra → 2 PCH → 3 no-boundary →
   * 4 post-boundary → 5 cross-boundary (+post-boundary for same-partition).
+  *
+  * `stages` < 5 builds and maintains only the first `stages` of them; the
+  * PSP baselines of [35] are this index stopped early: N-CH-P is
+  * `stages = 2` (shortcut arrays only, no labels) and P-TD-P is
+  * `stages = 4` (no cross-boundary index).
   */
-final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
-                 val withCross: Boolean = true) {
+final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int = 5) {
   import TD.Inf
+  require(stages == 2 || stages == 4 || stages == 5, s"stages must be 2, 4 or 5, not $stages")
+  private val labels = stages >= 4
 
   val n: Int = g.n
   val pr = SpatialPartitioner.partition(g, k)
@@ -49,7 +55,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
 
   private val intraEdges: Array[IndexedSeq[(Int, Int, Int)]] =
     Array.tabulate(k)(SpatialPartitioner.intraEdges(g, pr, _))
-  private val interEdges: IndexedSeq[(Int, Int, Int)] = SpatialPartitioner.interEdges(g, pr)
 
   // Index state (filled by build()).
   var tdPart: Array[TD] = _
@@ -77,7 +82,9 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
     Array.tabulate(bs.length)(a => Array.tabulate(bs.length)(b => labOv.query(bs(a), bs(b))))
   }
 
-  /** Steps 1–6 of §V-C; returns per-step wall seconds. */
+  /** Steps 1–6 of §V-C; returns the wall seconds of five steps (ov_input,
+    * overlay, partitions, post, cross), near zero for a skipped step.
+    */
   def build(): Array[Double] = {
     val times = new mutable.ArrayBuffer[Double]()
     def timed(f: => Unit): Unit = {
@@ -85,49 +92,42 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
     }
     // Step 1+2 (optimized, Theorem 2): contract non-boundary per partition
     // to obtain the overlay input directly from the partition MDE.
-    var ovEdgesParts: Seq[Seq[(Int, Int, Int)]] = null
-    timed {
-      ovEdgesParts = Parallel.map((0 until k).toSeq, threads) { i =>
-        val contract = new Array[Boolean](n)
-        for (v <- 0 until n) contract(v) = part(v) == i && !boundary(v)
-        MDE.phase1(n, intraEdges(i), contract)
-      }
-    }
+    var ovEdges: Seq[(Int, Int, Int)] = null
+    timed { ovEdges = SpatialPartitioner.overlayEdges(g, pr, intraEdges, threads) }
     // Step 3: overlay graph + overlay MHL.
     timed {
-      tdOv = MDE.decompose(n, ovEdgesParts.flatten ++ interEdges)
+      tdOv = MDE.decompose(n, ovEdges)
       updOv = new ShortcutUpdater(tdOv)
-      labOv = new H2HIndex(tdOv); labOv.build()
-      tdOv.buildLca()
+      if (labels) { labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca() }
     }
     // Step 1 (full): partition MHLs with overlay-consistent boundary order.
     timed {
       tdPart = new Array[TD](k); updPart = new Array[ShortcutUpdater](k)
-      labPart = new Array[H2HIndex](k)
+      if (labels) labPart = new Array[H2HIndex](k)
       Parallel.run((0 until k).map(i => () => {
         tdPart(i) = MDE.decompose(n, intraEdges(i), forcedOf(i), tdOv.rank)
         updPart(i) = new ShortcutUpdater(tdPart(i), boundary)
-        labPart(i) = new H2HIndex(tdPart(i)); labPart(i).build()
-        tdPart(i).buildLca()
+        if (labels) { labPart(i) = new H2HIndex(tdPart(i)); labPart(i).build(); tdPart(i).buildLca() }
       }), threads)
     }
     // Steps 4+5: post-boundary extended partitions.
     timed {
-      dMat = new Array[Array[Array[Int]]](k)
-      tdPost = new Array[TD](k); updPost = new Array[ShortcutUpdater](k)
-      labPost = new Array[H2HIndex](k)
-      Parallel.run((0 until k).map(i => () => {
-        dMat(i) = computeD(i)
-        tdPost(i) = MDE.decompose(n, extendedEdges(i), forcedOf(i), tdOv.rank)
-        updPost(i) = new ShortcutUpdater(tdPost(i))
-        labPost(i) = new H2HIndex(tdPost(i)); labPost(i).build()
-        tdPost(i).buildLca()
-      }), threads)
+      if (labels) {
+        dMat = new Array[Array[Array[Int]]](k)
+        tdPost = new Array[TD](k); updPost = new Array[ShortcutUpdater](k)
+        labPost = new Array[H2HIndex](k)
+        Parallel.run((0 until k).map(i => () => {
+          dMat(i) = computeD(i)
+          tdPost(i) = MDE.decompose(n, extendedEdges(i), forcedOf(i), tdOv.rank)
+          updPost(i) = new ShortcutUpdater(tdPost(i))
+          labPost(i) = new H2HIndex(tdPost(i)); labPost(i).build()
+          tdPost(i).buildLca()
+        }), threads)
+      }
     }
-    // Step 6: cross-boundary aggregation (skipped for P-TD-P [35], which
-    // is exactly PMHL without the cross-boundary strategy).
+    // Step 6: cross-boundary aggregation.
     timed {
-      if (withCross) {
+      if (stages == 5) {
         cross = new CrossBoundary(n, boundary, part, partBoundary, bIndexOf,
           tdPart, tdOv, labOv, dMat)
         cross.buildAll(threads)
@@ -249,13 +249,13 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
   // Maintenance (U-Stages 1-5, §V-D)
   // ------------------------------------------------------------------
 
-  /** Apply one update batch through all five stages; returns cumulative
-    * completion times so the throughput model can open each query stage
-    * at the right moment.
+  /** Apply one update batch through the first `stages` stages; returns
+    * their cumulative completion times so the throughput model can open
+    * each query stage at the right moment.
     */
   def applyUpdateBatch(batch: Seq[(Int, Int, Int)]): StageTimes = {
     val t0 = System.nanoTime()
-    val times = new Array[Double](5)
+    val times = new Array[Double](stages)
     def mark(i: Int): Unit = times(i) = (System.nanoTime() - t0) / 1e9
 
     // U-Stage 1: on-spot edge update.
@@ -283,6 +283,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
     val ovChanges = inter.toSeq ++ ovSeedChanges.asScala.toSeq
     val ovRes = updOv.applyInputChanges(ovChanges)
     mark(1)
+    if (!labels) return StageTimes(times)
 
     // U-Stage 3: no-boundary label update (partitions ∥ overlay).
     var changedOvLabels: Array[Int] = Array.emptyIntArray
@@ -319,19 +320,22 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int,
     mark(3)
 
     // U-Stage 5: cross-boundary index update.
-    if (withCross) cross.update(partScTouched, changedOvLabels, changedD, threads)
-    mark(4)
+    if (stages == 5) {
+      cross.update(partScTouched, changedOvLabels, changedD, threads)
+      mark(4)
+    }
 
     StageTimes(times)
   }
 
-  /** Total index entries across all components (|L| metric). */
+  /** Total index entries across the built components (|L| metric). */
   def indexEntries: Long = {
-    var s = labOv.labelEntries + tdOv.slotCount
-    for (i <- 0 until k) {
-      s += labPart(i).labelEntries + tdPart(i).slotCount
-      s += labPost(i).labelEntries + tdPost(i).slotCount
+    var s = tdOv.slotCount + tdPart.map(_.slotCount).sum
+    if (labels) {
+      s += labOv.labelEntries
+      for (i <- 0 until k)
+        s += labPart(i).labelEntries + labPost(i).labelEntries + tdPost(i).slotCount
     }
-    if (withCross) s + cross.labelEntries else s
+    if (stages == 5) s + cross.labelEntries else s
   }
 }

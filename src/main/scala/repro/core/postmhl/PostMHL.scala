@@ -2,7 +2,7 @@ package repro.core.postmhl
 
 import repro.graph.RoadGraph
 import repro.core.td.{MDE, ShortcutUpdater, TD}
-import repro.core.h2h.{CHQuery, UpwardGraph}
+import repro.core.h2h.{CHQuery, H2HIndex, UpwardGraph}
 import repro.core.sp.BiDijkstra
 import repro.core.pmhl.StageTimes
 import repro.util.Parallel
@@ -24,7 +24,9 @@ import scala.collection.mutable
   *    the standard H2H recurrence top-down per partition.
   *
   * The assembled `dis` arrays are exactly the H2H labels of `td` (tested),
-  * which is the Remark-2 claim that PostMHL reaches DH2H query efficiency.
+  * which is the Remark-2 claim that PostMHL reaches DH2H query efficiency:
+  * they live in an [[H2HIndex]], whose query serves the overlay and the
+  * final stage.
   *
   * Stages (Figure 9): U1 edge → U2 shortcuts (partition-parallel with
   * deferred overlay slots) → U3 overlay labels → U4 post-boundary ∥
@@ -47,10 +49,11 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   val partB: Array[Array[Int]] = roots.map(v => td.bag(v))
   private val chains: Array[Array[Int]] = roots.map(td.ancestorChain) // incl. root itself
 
-  /** Full H2H-equivalent labels; overlay entries for overlay vertices,
-    * split post/cross ranges for in-partition vertices.
+  /** H2H labels of `td`, assembled by stage: overlay entries for overlay
+    * vertices, split post/cross ranges for in-partition vertices.
     */
-  val dis: Array[Array[Int]] = new Array[Array[Int]](n)
+  val labels = new H2HIndex(td)
+  val dis: Array[Array[Int]] = labels.dis
   /** Boundary arrays of in-partition vertices. */
   val disB: Array[Array[Int]] = new Array[Array[Int]](n)
   /** All-pair global boundary distances per partition. */
@@ -85,29 +88,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
 
   private def computeD(i: Int): Array[Array[Int]] = {
     val bs = partB(i)
-    Array.tabulate(bs.length)(a => Array.tabulate(bs.length)(b => ovQuery(bs(a), bs(b))))
-  }
-
-  /** Standard H2H label of an overlay vertex (bag is all-overlay). */
-  private def computeOverlayDis(v: Int, pathVert: Array[Int]): Array[Int] = {
-    val d = td.depth(v)
-    val arr = new Array[Int](d + 1)
-    java.util.Arrays.fill(arr, Inf); arr(d) = 0
-    val bg = td.bag(v); val sv = td.sc(v)
-    var i = 0
-    while (i < bg.length) {
-      val x = bg(i); val dx = td.depth(x); val scv = sv(i)
-      val disx = dis(x)
-      var j = 0
-      while (j < d) {
-        val dxj = if (j < dx) disx(j) else if (j == dx) 0 else dis(pathVert(j))(dx)
-        val cand = scv + dxj
-        if (cand < arr(j)) arr(j) = cand
-        j += 1
-      }
-      i += 1
-    }
-    arr
+    Array.tabulate(bs.length)(a => Array.tabulate(bs.length)(b => labels.query(bs(a), bs(b))))
   }
 
   /** (Re)build overlay labels top-down; if `fromRoots` is null build all,
@@ -116,16 +97,16 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     */
   private def buildOverlay(fromRoots: Array[Int]): Array[Int] = {
     val changed = new mutable.ArrayBuffer[Int]()
-    val pathVert = new Array[Int](td.height)
+    val pathDis = new Array[Array[Int]](td.height)
     def walk(r: Int, track: Boolean): Unit = {
       val stack = new java.util.ArrayDeque[Integer]()
       stack.push(r)
       while (!stack.isEmpty) {
         val v = stack.pop().intValue()
-        val arr = computeOverlayDis(v, pathVert)
+        val arr = labels.computeDis(v, pathDis)
         if (track && !java.util.Arrays.equals(arr, dis(v))) changed += v
         dis(v) = arr
-        pathVert(td.depth(v)) = v
+        pathDis(td.depth(v)) = arr
         td.children(v).foreach(c => if (partOf(c) == -1) stack.push(c))
       }
     }
@@ -134,7 +115,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     } else {
       for (r <- fromRoots) {
         var x = td.parent(r)
-        while (x != -1) { pathVert(td.depth(x)) = x; x = td.parent(x) }
+        while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
         walk(r, track = true)
       }
     }
@@ -253,26 +234,6 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   /** Q-Stage 2: CH search over the global shortcut arrays. */
   def queryPCH(s: Int, t: Int): Int = chQ.query(s, t)
 
-  /** Overlay 2-hop query (both endpoints overlay). */
-  private def ovQuery(s: Int, t: Int): Int = {
-    if (s == t) return 0
-    val a = td.lca(s, t)
-    if (a == -1) return Inf
-    if (a == s) return dis(t)(td.depth(s))
-    if (a == t) return dis(s)(td.depth(t))
-    val da = td.depth(a)
-    var best = dis(s)(da) + dis(t)(da)
-    val bg = td.bag(a)
-    var i = 0
-    while (i < bg.length) {
-      val dx = td.depth(bg(i))
-      val cand = dis(s)(dx) + dis(t)(dx)
-      if (cand < best) best = cand
-      i += 1
-    }
-    best
-  }
-
   /** Q-Stage 3: post-boundary query — same-partition via LCA hubs read
     * from post entries and boundary arrays; cross-partition via boundary
     * concatenation over the overlay index.
@@ -280,7 +241,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   def queryPost(s: Int, t: Int): Int = {
     if (s == t) return 0
     val ps = partOf(s); val pt = partOf(t)
-    if (ps == -1 && pt == -1) return ovQuery(s, t)
+    if (ps == -1 && pt == -1) return labels.query(s, t)
     if (ps != -1 && ps == pt) {
       val a = td.lca(s, t)
       if (a == -1) return Inf
@@ -311,7 +272,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
       if (dsS(p) < best) {
         var q = 0
         while (q < bsT.length) {
-          val cand = dsS(p) + ovQuery(bsS(p), bsT(q)) + dsT(q)
+          val cand = dsS(p) + labels.query(bsS(p), bsT(q)) + dsT(q)
           if (cand < best) best = cand
           q += 1
         }
@@ -322,24 +283,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   }
 
   /** Q-Stage 4: full H2H query (cross-boundary; DH2H-equivalent). */
-  def queryFull(s: Int, t: Int): Int = {
-    if (s == t) return 0
-    val a = td.lca(s, t)
-    if (a == -1) return Inf
-    if (a == s) return dis(t)(td.depth(s))
-    if (a == t) return dis(s)(td.depth(t))
-    val da = td.depth(a)
-    var best = dis(s)(da) + dis(t)(da)
-    val bg = td.bag(a)
-    var i = 0
-    while (i < bg.length) {
-      val dx = td.depth(bg(i))
-      val cand = dis(s)(dx) + dis(t)(dx)
-      if (cand < best) best = cand
-      i += 1
-    }
-    best
-  }
+  def queryFull(s: Int, t: Int): Int = labels.query(s, t)
 
   // ---------------- maintenance ----------------
 
@@ -387,7 +331,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     //  - untouched partitions are skipped entirely (their D cannot have
     //    changed: a changed label of b ∈ B_i implies an affected overlay
     //    top above b, hence above the root — the full-rebuild case).
-    val ovTops: Array[Int] = subtreeTops(ovRes.affected)
+    val ovTops: Array[Int] = td.subtreeTops(ovRes.affected)
     val changedOv: Array[Int] = if (ovTops.nonEmpty) buildOverlay(ovTops) else Array.emptyIntArray
     mark(2)
     val changedOvFlag = new Array[Boolean](n)
@@ -413,14 +357,14 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
           var b = 0
           while (b < bs.length) {
             if (changedOvFlag(bs(a)) || changedOvFlag(bs(b)))
-              dMat(i)(a)(b) = ovQuery(bs(a), bs(b))
+              dMat(i)(a)(b) = labels.query(bs(a), bs(b))
             b += 1
           }
           a += 1
         }
         buildPost(i, roots(i))
       } else {
-        subtreeTops(affectedByPart(i)).foreach(r => buildPost(i, r))
+        td.subtreeTops(affectedByPart(i)).foreach(r => buildPost(i, r))
       }
     }), threads)
     mark(3)
@@ -430,31 +374,18 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
         fullRebuild(i) || (affectedByPart(i) != null && affectedByPart(i).nonEmpty)
       ).map(i => () => {
       if (fullRebuild(i)) buildCross(i, roots(i))
-      else subtreeTops(affectedByPart(i)).foreach(r => buildCross(i, r))
+      else td.subtreeTops(affectedByPart(i)).foreach(r => buildCross(i, r))
     }), threads)
     mark(4)
 
     StageTimes(times)
   }
 
-  private def subtreeTops(affected: Array[Int]): Array[Int] = {
-    val set = affected.toSet
-    affected.filter { v =>
-      var a = td.parent(v); var top = true
-      while (a != -1 && top) { if (set.contains(a)) top = false; a = td.parent(a) }
-      top
-    }
-  }
-
   /** Total index entries: labels + boundary arrays + shortcut slots. */
   def indexEntries: Long = {
-    var s = td.slotCount
+    var s = td.slotCount + labels.labelEntries
     var v = 0
-    while (v < n) {
-      if (dis(v) != null) s += dis(v).length
-      if (disB(v) != null) s += disB(v).length
-      v += 1
-    }
+    while (v < n) { if (disB(v) != null) s += disB(v).length; v += 1 }
     s
   }
 

@@ -1,5 +1,7 @@
 package repro.core.td
 
+import repro.util.TreeLca
+
 /** Tree decomposition of a weighted graph produced by minimum-degree
   * elimination (MDE, Definition 1 / §II of the paper).
   *
@@ -83,78 +85,27 @@ final class TD(
   /** Total number of shortcut slots (the CH index size). */
   lazy val slotCount: Long = bag.map(_.length.toLong).sum
 
-  // ---- LCA via Euler tour + sparse table (O(1) query) ----
-  private var eulerFirst: Array[Int] = _
-  private var sparse: Array[Array[Int]] = _
-  private var eulerDepth: Array[Int] = _
-  private var eulerVert: Array[Int] = _
-  private var logs: Array[Int] = _
-  private var comp: Array[Int] = _
+  /** Euler-tour LCA over this tree, built on first use. */
+  private lazy val treeLca = new TreeLca(n, parent, children, depth, roots)
 
-  /** Build LCA structures (idempotent; called lazily by `lca`). */
-  def buildLca(): Unit = synchronized {
-    if (eulerFirst != null) return
-    val first = Array.fill(n)(-1)
-    val dep = new Array[Int](2 * n)
-    val ver = new Array[Int](2 * n)
-    val cmp = new Array[Int](n)
-    var pos = 0
-    var ci = 0
-    for (r <- roots) {
-      // Iterative Euler tour: push (vertex, childIdx).
-      val stV = new java.util.ArrayDeque[Int]()
-      val stI = new java.util.ArrayDeque[Int]()
-      stV.push(r); stI.push(0)
-      first(r) = pos; ver(pos) = r; dep(pos) = depth(r); pos += 1
-      cmp(r) = ci
-      while (!stV.isEmpty) {
-        val v = stV.peek(); val i = stI.pop()
-        if (i < children(v).length) {
-          stI.push(i + 1)
-          val c = children(v)(i)
-          cmp(c) = ci
-          stV.push(c); stI.push(0)
-          first(c) = pos; ver(pos) = c; dep(pos) = depth(c); pos += 1
-        } else {
-          stV.pop()
-          if (!stV.isEmpty) { ver(pos) = stV.peek(); dep(pos) = depth(stV.peek()); pos += 1 }
-        }
-      }
-      ci += 1
-    }
-    val sz = pos
-    val lg = new Array[Int](sz + 1)
-    var i = 2
-    while (i <= sz) { lg(i) = lg(i / 2) + 1; i += 1 }
-    val levels = lg(math.max(sz, 1)) + 1
-    val sp = new Array[Array[Int]](levels)
-    sp(0) = java.util.Arrays.copyOf((0 until sz).toArray, sz)
-    var k = 1
-    while (k < levels) {
-      val half = 1 << (k - 1)
-      val prev = sp(k - 1)
-      val cur = new Array[Int](math.max(0, sz - (1 << k) + 1))
-      var j = 0
-      while (j < cur.length) {
-        val a = prev(j); val b = prev(j + half)
-        cur(j) = if (dep(a) <= dep(b)) a else b
-        j += 1
-      }
-      sp(k) = cur
-      k += 1
-    }
-    eulerFirst = first; sparse = sp; eulerDepth = dep; eulerVert = ver; logs = lg; comp = cmp
-  }
+  /** Build the LCA structure now rather than on the first `lca` call. */
+  def buildLca(): Unit = treeLca
 
   /** Lowest common ancestor of s and t; -1 if in different components. */
-  def lca(s: Int, t: Int): Int = {
-    if (eulerFirst == null) buildLca()
-    if (comp(s) != comp(t)) return -1
-    var l = eulerFirst(s); var r = eulerFirst(t)
-    if (l > r) { val tmp = l; l = r; r = tmp }
-    val k = logs(r - l + 1)
-    val a = sparse(k)(l); val b = sparse(k)(r - (1 << k) + 1)
-    eulerVert(if (eulerDepth(a) <= eulerDepth(b)) a else b)
+  def lca(s: Int, t: Int): Int = treeLca.lca(s, t)
+
+  /** The members of `affected` with no affected proper ancestor: the roots
+    * of the subtrees a top-down label pass must redo, in input order. Keeps
+    * per-call state only, so partition tasks may call it concurrently.
+    */
+  def subtreeTops(affected: Array[Int]): Array[Int] = {
+    val set = new java.util.HashSet[Integer]()
+    affected.foreach(v => set.add(v))
+    affected.filter { v =>
+      var a = parent(v); var top = true
+      while (a != -1 && top) { if (set.contains(a)) top = false; a = parent(a) }
+      top
+    }
   }
 
   /** Is `a` an ancestor of (or equal to) `v`? O(depth) parent walk. */

@@ -1,6 +1,8 @@
 package repro.partition
 
 import repro.graph.RoadGraph
+import repro.core.td.MDE
+import repro.util.Parallel
 
 /** Result of a planar graph partitioning (§III-C).
   *
@@ -63,4 +65,17 @@ object SpatialPartitioner {
   /** Inter-partition edges (both endpoints are boundary by construction). */
   def interEdges(g: RoadGraph, pr: PartitionResult): IndexedSeq[(Int, Int, Int)] =
     g.undirectedEdges.filter { case (u, v, _) => pr.part(u) != pr.part(v) }
+
+  /** Overlay graph input (Theorem 2): each partition's non-boundary
+    * vertices contracted out of its intra edges (`intra(i)`), in parallel,
+    * plus the inter edges. Distances between boundary vertices are exact.
+    */
+  def overlayEdges(g: RoadGraph, pr: PartitionResult, intra: Array[IndexedSeq[(Int, Int, Int)]],
+                   threads: Int): Seq[(Int, Int, Int)] = {
+    val contracted = Parallel.map((0 until pr.k).toSeq, threads) { i =>
+      val contract = Array.tabulate(g.n)(v => pr.part(v) == i && !pr.boundary(v))
+      MDE.phase1(g.n, intra(i), contract)
+    }
+    contracted.flatten ++ interEdges(g, pr)
+  }
 }

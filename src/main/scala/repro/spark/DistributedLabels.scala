@@ -47,13 +47,7 @@ object DistributedLabels {
     val pr = SpatialPartitioner.partition(g, k)
     val n = g.n
     val intra = Array.tabulate(k)(SpatialPartitioner.intraEdges(g, pr, _))
-    // Theorem-2 overlay input from per-partition phase-1 contraction.
-    val ovEdges = (0 until k).flatMap { i =>
-      val contract = new Array[Boolean](n)
-      for (v <- 0 until n) contract(v) = pr.part(v) == i && !pr.boundary(v)
-      MDE.phase1(n, intra(i), contract)
-    } ++ SpatialPartitioner.interEdges(g, pr)
-    val tdOv = MDE.decompose(n, ovEdges)
+    val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(g, pr, intra, threads = 1))
     val labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca()
     val ovLabels = (0 until n).filter(pr.boundary).flatMap { b =>
       val chain = tdOv.ancestorChain(b)

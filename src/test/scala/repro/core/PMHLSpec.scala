@@ -141,4 +141,27 @@ class PMHLSpec extends AnyFunSuite {
     assert(small.indexEntries > 0)
     assert(large.indexEntries > small.indexEntries)
   }
+
+  test("stages = 2 builds only shortcut arrays and maintains them through U-Stage 2") {
+    val g = GridGen.grid(6, 16, seed = 74)
+    val p = new PMHL(g, 4, threads = 2, stages = 2)
+    assert(p.build().length == 5, "build still reports its five steps")
+    assert(p.labOv == null && p.labPart == null && p.labPost == null && p.cross == null)
+    assert(p.indexEntries == p.tdOv.slotCount + p.tdPart.map(_.slotCount).sum)
+    val rnd = new Random(75)
+    for (r <- 1 to 3) {
+      val times = p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 950 + r))
+      assert(times.t.length == 2)
+      for (_ <- 1 to 80) {
+        val s = rnd.nextInt(g.n); val t = rnd.nextInt(g.n)
+        assert(p.queryPCH(s, t) == Dijkstra.query(g, s, t), s"round $r PCH ($s,$t)")
+      }
+    }
+    assert(p.labOv == null && p.labPart == null && p.labPost == null && p.cross == null)
+  }
+
+  test("stages must be 2, 4 or 5") {
+    val g = GridGen.grid(4, 8, seed = 76)
+    intercept[IllegalArgumentException](new PMHL(g, 2, threads = 1, stages = 3))
+  }
 }

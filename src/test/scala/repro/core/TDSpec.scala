@@ -148,4 +148,19 @@ class TDSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("subtreeTops keeps exactly the affected vertices with no affected proper ancestor") {
+    for (g <- graphs) {
+      val td = MDE.decompose(g.n, g.undirectedEdges)
+      val rnd = new Random(16)
+      def brute(affected: Array[Int]): Seq[Int] = affected.toSeq.filter { v =>
+        !affected.exists(a => a != v && td.isAncestorOrSelf(a, v))
+      }
+      val sets = Seq(Array.emptyIntArray, Array(rnd.nextInt(g.n)), (0 until g.n).toArray,
+        td.roots.clone()) ++
+        Seq(0.02, 0.1, 0.3).map(f => (0 until g.n).filter(_ => rnd.nextDouble() < f).toArray)
+      for (affected <- sets ++ sets.map(a => rnd.shuffle(a.toSeq).toArray))
+        assert(td.subtreeTops(affected).toSeq == brute(affected), s"affected ${affected.toSeq}")
+    }
+  }
 }
