@@ -42,9 +42,6 @@ final class CHQuery(g: UpwardGraph) {
   private val verB = new Array[Int](g.n)
   private var epoch = 0
 
-  private def getF(v: Int) = if (verF(v) == epoch) dF(v) else Inf
-  private def getB(v: Int) = if (verB(v) == epoch) dB(v) else Inf
-
   /** Point-to-point upper-bound distance; exact when the upward graph is a
     * full contraction hierarchy of the underlying graph.
     */

@@ -1,7 +1,7 @@
 package repro.core.pmhl
 
 import repro.core.td.TD
-import repro.core.h2h.H2HIndex
+import repro.core.h2h.{BoundaryLabels, H2HIndex}
 import repro.util.{Parallel, TreeLca}
 import scala.collection.mutable
 
@@ -32,7 +32,6 @@ final class CrossBoundary(
     boundary: Array[Boolean],
     part: Array[Int],
     partBoundary: Array[Array[Int]],
-    bIndexOf: Array[Int],
     tdPart: Array[TD],
     tdOv: TD,
     labOv: H2HIndex,
@@ -62,6 +61,8 @@ final class CrossBoundary(
     }
     d
   }
+  /** T* height (max depth + 1): the length of a root-to-leaf path. */
+  private val heightStar: Int = if (n == 0) 0 else depthStar.max + 1
   val lcaStar = new TreeLca(n, parentStar, childrenStar, depthStar, rootsStar)
 
   /** Roots of the non-boundary subtrees hanging off the overlay part,
@@ -107,6 +108,12 @@ final class CrossBoundary(
 
   def disBOf(v: Int): Array[Int] = disB(v)
 
+  /** Boundary slots (indices into `partBoundary`) of each non-boundary
+    * vertex's partition-bag members.
+    */
+  private val slots = BoundaryLabels.slotTable(n, partBoundary,
+    v => if (boundary(v)) -1 else part(v), v => tdPart(part(v)).bag(v))
+
   /** Per-(partition, attach boundary vertex) matrix: M(bi)(j) = global
     * distance from partBoundary(i)(bi) to the overlay chain vertex at
     * depth j above (and including) the attach point.
@@ -127,19 +134,8 @@ final class CrossBoundary(
       if (b0 == -1) Array.fill(bs.length)(Array.emptyIntArray) else buildM(i, b0)
     val attachDepth = if (b0 == -1) -1 else depthStar(b0)
     val td = tdPart(i)
-    val maxDepth = {
-      // depth bound for pathDis sizing: walk subtree once
-      var mx = depthStar(root)
-      val st = new java.util.ArrayDeque[Integer](); st.push(root)
-      while (!st.isEmpty) {
-        val v = st.pop().intValue()
-        if (depthStar(v) > mx) mx = depthStar(v)
-        childrenStar(v).foreach(st.push(_))
-      }
-      mx
-    }
-    val pathDis = new Array[Array[Int]](maxDepth + 1)
-    val pathDisB = new Array[Array[Int]](maxDepth + 1)
+    val pathDis = new Array[Array[Int]](heightStar)
+    val pathDisB = new Array[Array[Int]](heightStar)
     // overlay part of the path
     if (b0 != -1) {
       val chain = tdOv.ancestorChain(b0)
@@ -151,16 +147,14 @@ final class CrossBoundary(
     while (!stack.isEmpty) {
       val v = stack.pop().intValue()
       val dv = depthStar(v)
-      val bg = td.bag(v); val sv = td.sc(v)
+      val bg = td.bag(v); val sv = td.sc(v); val sl = slots(v)
       val arr = new Array[Int](dv + 1)
       java.util.Arrays.fill(arr, Inf); arr(dv) = 0
-      val arrB = new Array[Int](bs.length)
-      java.util.Arrays.fill(arrB, Inf)
       var ki = 0
       while (ki < bg.length) {
-        val x = bg(ki); val scx = sv(ki)
-        if (!boundary(x)) {
-          val dx = depthStar(x)
+        val scx = sv(ki); val xb = sl(ki)
+        if (xb < 0) {
+          val dx = depthStar(bg(ki))
           val disx = pathDis(dx)
           var j = 0
           while (j < dv) {
@@ -169,15 +163,7 @@ final class CrossBoundary(
             if (cand < arr(j)) arr(j) = cand
             j += 1
           }
-          val dbx = pathDisB(dx)
-          var bj = 0
-          while (bj < bs.length) {
-            val cand = scx + dbx(bj)
-            if (cand < arrB(bj)) arrB(bj) = cand
-            bj += 1
-          }
         } else {
-          val xb = bIndexOf(x)
           val mx = m(xb)
           var j = 0
           while (j < dv) {
@@ -186,16 +172,12 @@ final class CrossBoundary(
             if (cand < arr(j)) arr(j) = cand
             j += 1
           }
-          val dRow = dMat(i)(xb)
-          var bj = 0
-          while (bj < bs.length) {
-            val cand = scx + dRow(bj)
-            if (cand < arrB(bj)) arrB(bj) = cand
-            bj += 1
-          }
         }
         ki += 1
       }
+      // Non-boundary bag members are T*-ancestors in this subtree, so
+      // their boundary arrays were written earlier in this walk.
+      val arrB = BoundaryLabels.boundaryArray(bg, sv, sl, dMat(i), disB)
       crossDis(v) = arr; disB(v) = arrB
       pathDis(dv) = arr; pathDisB(dv) = arrB
       childrenStar(v).foreach(stack.push(_))
@@ -260,17 +242,8 @@ final class CrossBoundary(
       // Same-subtree case: non-boundary bag members are T*-ancestors of
       // both endpoints (use depth positions); boundary bag members are not
       // on the T* path — go through the boundary arrays instead.
-      val bg = tdPart(part(a)).bag(a)
-      val dsB = disB(s); val dtB = disB(t)
-      var i = 0
-      while (i < bg.length) {
-        val x = bg(i)
-        val cand =
-          if (!boundary(x)) ds(depthStar(x)) + dt(depthStar(x))
-          else dsB(bIndexOf(x)) + dtB(bIndexOf(x))
-        if (cand < best) best = cand
-        i += 1
-      }
+      best = BoundaryLabels.hubMin(tdPart(part(a)).bag(a), slots(a), depthStar, ds, dt,
+        disB(s), disB(t), best)
     }
     best
   }

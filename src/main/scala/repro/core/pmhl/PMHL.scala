@@ -3,7 +3,7 @@ package repro.core.pmhl
 import repro.graph.RoadGraph
 import repro.partition.SpatialPartitioner
 import repro.core.td.{MDE, ShortcutUpdater, TD}
-import repro.core.h2h.{CHQuery, H2HIndex, UpwardGraph}
+import repro.core.h2h.{BoundaryLabels, CHQuery, H2HIndex, UpwardGraph}
 import repro.core.sp.BiDijkstra
 import repro.util.Parallel
 import scala.collection.mutable
@@ -46,12 +46,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   val part: Array[Int] = pr.part
   val boundary: Array[Boolean] = pr.boundary
   val partBoundary: Array[Array[Int]] = Array.tabulate(k)(pr.boundaryOf)
-  /** Index of a boundary vertex within its home partition's boundary list. */
-  val bIndexOf: Array[Int] = {
-    val a = Array.fill(n)(-1)
-    for (i <- 0 until k; (b, j) <- partBoundary(i).zipWithIndex) a(b) = j
-    a
-  }
 
   private val intraEdges: Array[IndexedSeq[(Int, Int, Int)]] =
     Array.tabulate(k)(SpatialPartitioner.intraEdges(g, pr, _))
@@ -128,8 +122,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     // Step 6: cross-boundary aggregation.
     timed {
       if (stages == 5) {
-        cross = new CrossBoundary(n, boundary, part, partBoundary, bIndexOf,
-          tdPart, tdOv, labOv, dMat)
+        cross = new CrossBoundary(n, boundary, part, partBoundary, tdPart, tdOv, labOv, dMat)
         cross.buildAll(threads)
       }
       pchQuery = new CHQuery(pchUpwardGraph())
@@ -183,52 +176,26 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   private def distVec(lab: H2HIndex, s: Int, bs: Array[Int]): Array[Int] =
     bs.map(lab.query(s, _))
 
+  /** One side of a cross-partition concatenation: its hubs and their
+    * distances (a boundary endpoint is its own hub).
+    */
+  private def side(v: Int, lab: H2HIndex): (Array[Int], Array[Int]) =
+    if (boundary(v)) (Array(v), Array(0))
+    else { val bs = partBoundary(part(v)); (bs, distVec(lab, v, bs)) }
+
   /** Q-Stage 3: no-boundary query with distance concatenation (§III-C). */
   def queryNoBoundary(s: Int, t: Int): Int = {
     if (s == t) return 0
     if (part(s) == part(t)) {
-      val i = part(s)
-      var best = labPart(i).query(s, t)
-      val bs = partBoundary(i)
-      val ds = distVec(labPart(i), s, bs); val dt = distVec(labPart(i), t, bs)
-      var p = 0
-      while (p < bs.length) {
-        if (ds(p) < best) {
-          var q = 0
-          while (q < bs.length) {
-            val cand = ds(p) + labOv.query(bs(p), bs(q)) + dt(q)
-            if (cand < best) best = cand
-            q += 1
-          }
-        }
-        p += 1
-      }
-      best
+      val lab = labPart(part(s)); val bs = partBoundary(part(s))
+      BoundaryLabels.concat(bs, distVec(lab, s, bs), bs, distVec(lab, t, bs), labOv, lab.query(s, t))
     } else crossConcat(s, t, labPart(part(s)), labPart(part(t)))
   }
 
   /** Concatenated cross-partition query (cases of §III-C). */
   private def crossConcat(s: Int, t: Int, labS: H2HIndex, labT: H2HIndex): Int = {
-    val (bsS, dsS) =
-      if (boundary(s)) (Array(s), Array(0))
-      else { val bs = partBoundary(part(s)); (bs, distVec(labS, s, bs)) }
-    val (bsT, dsT) =
-      if (boundary(t)) (Array(t), Array(0))
-      else { val bs = partBoundary(part(t)); (bs, distVec(labT, t, bs)) }
-    var best = Inf
-    var p = 0
-    while (p < bsS.length) {
-      if (dsS(p) < best) {
-        var q = 0
-        while (q < bsT.length) {
-          val cand = dsS(p) + labOv.query(bsS(p), bsT(q)) + dsT(q)
-          if (cand < best) best = cand
-          q += 1
-        }
-      }
-      p += 1
-    }
-    best
+    val (bsS, dsS) = side(s, labS); val (bsT, dsT) = side(t, labT)
+    BoundaryLabels.concat(bsS, dsS, bsT, dsT, labOv, Inf)
   }
 
   /** Q-Stage 4: post-boundary query — same-partition via corrected L'_i. */

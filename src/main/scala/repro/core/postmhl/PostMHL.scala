@@ -2,11 +2,10 @@ package repro.core.postmhl
 
 import repro.graph.RoadGraph
 import repro.core.td.{MDE, ShortcutUpdater, TD}
-import repro.core.h2h.{CHQuery, H2HIndex, UpwardGraph}
+import repro.core.h2h.{BoundaryLabels, CHQuery, H2HIndex, UpwardGraph}
 import repro.core.sp.BiDijkstra
 import repro.core.pmhl.StageTimes
 import repro.util.Parallel
-import scala.collection.mutable
 
 /** Post-partitioned Multi-stage Hub Labeling (§VI).
   *
@@ -17,9 +16,10 @@ import scala.collection.mutable
   *  - the **overlay index** is the H2H labels of the overlay vertices
   *    (upward-closed, self-contained);
   *  - the **post-boundary index** of partition i is the boundary arrays
-  *    `disB(v)` (global distances to X(root).N, via the all-pair map `D`
-  *    from overlay queries) plus the distance-array entries to in-partition
-  *    ancestors, built per Algorithm 4 so it needs only the overlay index;
+  *    `disB(v)` (global distances to X(root).N) plus the distance-array
+  *    entries to in-partition ancestors, built per Algorithm 4 so it needs
+  *    only the overlay index: X(root).N lies on the root's ancestor chain,
+  *    so the boundary all-pair map D is read off the overlay labels;
   *  - the **cross-boundary index** is the entries to overlay ancestors,
   *    the standard H2H recurrence top-down per partition.
   *
@@ -45,7 +45,9 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   val k: Int = tdp.k
   val partOf: Array[Int] = tdp.partOf
   val roots: Array[Int] = tdp.roots
-  /** Boundary (bag of the partition root), rank-descending; D rows align. */
+  /** Boundary (bag of the partition root): rank-descending, so it lies on
+    * the root's ancestor chain in ascending depth.
+    */
   val partB: Array[Array[Int]] = roots.map(v => td.bag(v))
   private val chains: Array[Array[Int]] = roots.map(td.ancestorChain) // incl. root itself
 
@@ -56,8 +58,8 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   val dis: Array[Array[Int]] = labels.dis
   /** Boundary arrays of in-partition vertices. */
   val disB: Array[Array[Int]] = new Array[Array[Int]](n)
-  /** All-pair global boundary distances per partition. */
-  var dMat: Array[Array[Array[Int]]] = _
+  /** Boundary slots of in-partition vertices' bag members (indices into `partB`). */
+  private val slots = BoundaryLabels.slotTable(n, partB, partOf, td.bag)
 
   private val chQ = new CHQuery(UpwardGraph.fromTD(td))
 
@@ -69,124 +71,86 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     r
   }
 
-  private def bIdx(i: Int, x: Int): Int = {
-    val bs = partB(i)
-    var j = 0
-    while (j < bs.length) { if (bs(j) == x) return j; j += 1 }
-    -1
-  }
-
   // ---------------- construction ----------------
-  timeIt(2) { td.buildLca(); buildOverlay(null) }
+  timeIt(2) { td.buildLca(); buildOverlay(td.roots.filter(partOf(_) == -1)) }
   timeIt(3) {
-    dMat = new Array[Array[Array[Int]]](k)
-    Parallel.run((0 until k).map(i => () => { dMat(i) = computeD(i); buildPost(i, roots(i)) }), threads)
+    Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads)
   }
   timeIt(4) {
     Parallel.run((0 until k).map(i => () => buildCross(i, roots(i))), threads)
   }
 
-  private def computeD(i: Int): Array[Array[Int]] = {
-    val bs = partB(i)
-    Array.tabulate(bs.length)(a => Array.tabulate(bs.length)(b => labels.query(bs(a), bs(b))))
-  }
-
-  /** (Re)build overlay labels top-down; if `fromRoots` is null build all,
-    * otherwise only the overlay subtrees of those roots. Returns changed
-    * overlay vertices (empty on initial build).
+  /** (Re)build the overlay labels of the overlay subtrees of `fromRoots`,
+    * top-down.
     */
-  private def buildOverlay(fromRoots: Array[Int]): Array[Int] = {
-    val changed = new mutable.ArrayBuffer[Int]()
+  private def buildOverlay(fromRoots: Array[Int]): Unit = {
     val pathDis = new Array[Array[Int]](td.height)
-    def walk(r: Int, track: Boolean): Unit = {
+    for (r <- fromRoots) {
+      var x = td.parent(r)
+      while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
       val stack = new java.util.ArrayDeque[Integer]()
       stack.push(r)
       while (!stack.isEmpty) {
         val v = stack.pop().intValue()
         val arr = labels.computeDis(v, pathDis)
-        if (track && !java.util.Arrays.equals(arr, dis(v))) changed += v
         dis(v) = arr
         pathDis(td.depth(v)) = arr
         td.children(v).foreach(c => if (partOf(c) == -1) stack.push(c))
       }
     }
-    if (fromRoots == null) {
-      td.roots.foreach(r => if (partOf(r) == -1) walk(r, track = false))
-    } else {
-      for (r <- fromRoots) {
-        var x = td.parent(r)
-        while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
-        walk(r, track = true)
-      }
-    }
-    changed.toArray
   }
 
-  /** Post-boundary pass (Algorithm 4 lines 5-31) over `from`'s subtree. */
-  private def buildPost(i: Int, from: Int): Unit = {
+  /** Post-boundary pass (Algorithm 4 lines 5-31) over the subtrees of
+    * `tops` in partition i. The boundary all-pair map D comes from the
+    * current overlay labels: partB(i) is in ascending depth, so for a < b,
+    * `D(a)(b)` is the label of bs(b) at the depth of its ancestor bs(a).
+    */
+  private def buildPost(i: Int, tops: Array[Int]): Unit = {
     val bs = partB(i); val du = td.depth(roots(i))
+    val d = Array.tabulate(bs.length, bs.length) { (a, b) =>
+      if (a < b) dis(bs(b))(td.depth(bs(a))) else if (a > b) dis(bs(a))(td.depth(bs(b))) else 0
+    }
     val pathVert = new Array[Int](td.height)
-    var x = td.parent(from)
-    while (x != -1) { pathVert(td.depth(x)) = x; x = td.parent(x) }
-    val stack = new java.util.ArrayDeque[Integer]()
-    stack.push(from)
-    while (!stack.isEmpty) {
-      val v = stack.pop().intValue()
-      val dv = td.depth(v)
-      val bg = td.bag(v); val sv = td.sc(v)
-      // Hoist per-bag-member boundary indices out of the hot loops
-      // (a linear bIdx inside depth×bag iterations is O(|B|) too much).
-      val ovIdx = new Array[Int](bg.length)
-      var ki = 0
-      while (ki < bg.length) {
-        ovIdx(ki) = if (partOf(bg(ki)) == -1) bIdx(i, bg(ki)) else -1
-        ki += 1
-      }
-      // boundary array
-      val arrB = new Array[Int](bs.length)
-      java.util.Arrays.fill(arrB, Inf)
-      ki = 0
-      while (ki < bg.length) {
-        val xk = bg(ki); val scx = sv(ki)
-        val row = if (ovIdx(ki) >= 0) dMat(i)(ovIdx(ki)) else disB(xk)
-        var j = 0
-        while (j < bs.length) {
-          val cand = scx + row(j)
-          if (cand < arrB(j)) arrB(j) = cand
+    for (from <- tops) {
+      var x = td.parent(from)
+      while (x != -1) { pathVert(td.depth(x)) = x; x = td.parent(x) }
+      val stack = new java.util.ArrayDeque[Integer]()
+      stack.push(from)
+      while (!stack.isEmpty) {
+        val v = stack.pop().intValue()
+        val dv = td.depth(v)
+        val bg = td.bag(v); val sv = td.sc(v); val sl = slots(v)
+        disB(v) = BoundaryLabels.boundaryArray(bg, sv, sl, d, disB)
+        // distance-array entries to in-partition ancestors [du, dv)
+        val arr = if (dis(v) != null && dis(v).length == dv + 1) dis(v)
+                  else { val a = new Array[Int](dv + 1); java.util.Arrays.fill(a, Inf); a }
+        var j = du
+        while (j < dv) {
+          var best = Inf
+          val aj = pathVert(j)
+          val dbAj = disB(aj)
+          val disAj = dis(aj)
+          var ki = 0
+          while (ki < bg.length) {
+            val xk = bg(ki)
+            val dxa =
+              if (sl(ki) >= 0) dbAj(sl(ki))
+              else {
+                val dxk = td.depth(xk)
+                if (dxk > j) dis(xk)(j) else if (dxk == j) 0 else disAj(dxk)
+              }
+            val cand = sv(ki) + dxa
+            if (cand < best) best = cand
+            ki += 1
+          }
+          arr(j) = best
           j += 1
         }
-        ki += 1
+        arr(dv) = 0
+        dis(v) = arr
+        pathVert(dv) = v
+        td.children(v).foreach(stack.push(_))
       }
-      disB(v) = arrB
-      // distance-array entries to in-partition ancestors [du, dv)
-      val arr = if (dis(v) != null && dis(v).length == dv + 1) dis(v)
-                else { val a = new Array[Int](dv + 1); java.util.Arrays.fill(a, Inf); a }
-      var j = du
-      while (j < dv) {
-        var best = Inf
-        val aj = pathVert(j)
-        val dbAj = disB(aj)
-        val disAj = dis(aj)
-        var ki2 = 0
-        while (ki2 < bg.length) {
-          val xk = bg(ki2); val scx = sv(ki2)
-          val dxa =
-            if (ovIdx(ki2) >= 0) dbAj(ovIdx(ki2))
-            else {
-              val dxk = td.depth(xk)
-              if (dxk > j) dis(xk)(j) else if (dxk == j) 0 else disAj(dxk)
-            }
-          val cand = scx + dxa
-          if (cand < best) best = cand
-          ki2 += 1
-        }
-        arr(j) = best
-        j += 1
-      }
-      arr(dv) = 0
-      dis(v) = arr
-      pathVert(dv) = v
-      td.children(v).foreach(stack.push(_))
     }
   }
 
@@ -248,38 +212,15 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
       if (a == s) return dis(t)(td.depth(s))
       if (a == t) return dis(s)(td.depth(t))
       val da = td.depth(a)
-      var best = dis(s)(da) + dis(t)(da)
-      val bg = td.bag(a)
-      var i = 0
-      while (i < bg.length) {
-        val x = bg(i)
-        val cand =
-          if (partOf(x) == -1) disB(s)(bIdx(ps, x)) + disB(t)(bIdx(ps, x))
-          else dis(s)(td.depth(x)) + dis(t)(td.depth(x))
-        if (cand < best) best = cand
-        i += 1
-      }
-      return best
+      return BoundaryLabels.hubMin(td.bag(a), slots(a), td.depth, dis(s), dis(t), disB(s), disB(t),
+        dis(s)(da) + dis(t)(da))
     }
     // cross-partition (or one endpoint overlay): boundary concatenation
     val (bsS, dsS) =
       if (ps == -1) (Array(s), Array(0)) else (partB(ps), disB(s))
     val (bsT, dsT) =
       if (pt == -1) (Array(t), Array(0)) else (partB(pt), disB(t))
-    var best = Inf
-    var p = 0
-    while (p < bsS.length) {
-      if (dsS(p) < best) {
-        var q = 0
-        while (q < bsT.length) {
-          val cand = dsS(p) + labels.query(bsS(p), bsT(q)) + dsT(q)
-          if (cand < best) best = cand
-          q += 1
-        }
-      }
-      p += 1
-    }
-    best
+    BoundaryLabels.concat(bsS, dsS, bsT, dsT, labels, Inf)
   }
 
   /** Q-Stage 4: full H2H query (cross-boundary; DH2H-equivalent). */
@@ -326,16 +267,14 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     // of a shortcut-affected vertex. So the update scope below is exactly
     // DH2H's, split into the paper's partition-parallel stages:
     //  - a partition whose root lies under an affected *overlay* top is
-    //    rebuilt fully (its boundary all-pair map D is refreshed first);
+    //    rebuilt fully;
     //  - otherwise only the subtrees of its own affected vertices rerun;
     //  - untouched partitions are skipped entirely (their D cannot have
     //    changed: a changed label of b ∈ B_i implies an affected overlay
     //    top above b, hence above the root — the full-rebuild case).
     val ovTops: Array[Int] = td.subtreeTops(ovRes.affected)
-    val changedOv: Array[Int] = if (ovTops.nonEmpty) buildOverlay(ovTops) else Array.emptyIntArray
+    buildOverlay(ovTops)
     mark(2)
-    val changedOvFlag = new Array[Boolean](n)
-    changedOv.foreach(changedOvFlag(_) = true)
 
     val ovTopSet = ovTops.toSet
     val fullRebuild: Array[Boolean] = Array.tabulate(k) { i =>
@@ -344,38 +283,18 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
       hit
     }
 
-    // U4: post-boundary update (partition-parallel).
+    // U4: post-boundary update (partition-parallel); U5 redoes the same tops.
+    val tops = new Array[Array[Int]](k)
     Parallel.run((0 until k).filter(i =>
         fullRebuild(i) || (affectedByPart(i) != null && affectedByPart(i).nonEmpty)
       ).map(i => () => {
-      if (fullRebuild(i)) {
-        // D[a][b] depends only on the labels of its endpoints — refresh
-        // just the entries with a changed endpoint label.
-        val bs = partB(i)
-        var a = 0
-        while (a < bs.length) {
-          var b = 0
-          while (b < bs.length) {
-            if (changedOvFlag(bs(a)) || changedOvFlag(bs(b)))
-              dMat(i)(a)(b) = labels.query(bs(a), bs(b))
-            b += 1
-          }
-          a += 1
-        }
-        buildPost(i, roots(i))
-      } else {
-        td.subtreeTops(affectedByPart(i)).foreach(r => buildPost(i, r))
-      }
+      tops(i) = if (fullRebuild(i)) Array(roots(i)) else td.subtreeTops(affectedByPart(i))
+      buildPost(i, tops(i))
     }), threads)
     mark(3)
 
     // U5: cross-boundary update (partition-parallel).
-    Parallel.run((0 until k).filter(i =>
-        fullRebuild(i) || (affectedByPart(i) != null && affectedByPart(i).nonEmpty)
-      ).map(i => () => {
-      if (fullRebuild(i)) buildCross(i, roots(i))
-      else td.subtreeTops(affectedByPart(i)).foreach(r => buildCross(i, r))
-    }), threads)
+    Parallel.run((0 until k).filter(tops(_) != null).map(i => () => tops(i).foreach(buildCross(i, _))), threads)
     mark(4)
 
     StageTimes(times)

@@ -32,6 +32,65 @@ object MDE {
     m
   }
 
+  /** Min-degree elimination of the vertices `elim` marks, in ascending
+    * `prio(v, degree)` (ties by id, stale heap entries skipped lazily):
+    * each pick calls `visit(v, nbrs)` with v's current neighbours and
+    * shortcut weights, adds the fill-in shortcuts among them and removes v.
+    * Returns the adjacency left among the vertices not eliminated.
+    */
+  private def eliminate(n: Int, input: mutable.LongMap[Int], elim: Int => Boolean,
+                        prio: (Int, Int) => Int)
+                       (visit: (Int, Array[(Int, Int)]) => Unit): Array[mutable.HashMap[Int, Int]] = {
+    val adj = Array.fill(n)(new mutable.HashMap[Int, Int]())
+    input.foreach { case (k, w) =>
+      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
+      adj(u)(v) = w; adj(v)(u) = w
+    }
+    def key(v: Int): Long = (prio(v, adj(v).size).toLong << 32) | v.toLong
+    val pq = new java.util.PriorityQueue[java.lang.Long]()
+    val done = new Array[Boolean](n)
+    var total = 0
+    var v0 = 0
+    while (v0 < n) { if (elim(v0)) { pq.add(key(v0)); total += 1 }; v0 += 1 }
+
+    var r = 0
+    while (r < total) {
+      var v = -1
+      while (v == -1) {
+        val top = pq.poll().longValue()
+        val cand = (top & 0xffffffffL).toInt
+        if (!done(cand) && top == key(cand)) v = cand
+      }
+      done(v) = true
+      val nbrs = adj(v).toArray
+      visit(v, nbrs)
+      // All-pair shortcuts among the bag.
+      var i = 0
+      while (i < nbrs.length) {
+        val (a, wa) = nbrs(i)
+        var j = i + 1
+        while (j < nbrs.length) {
+          val (b, wb) = nbrs(j)
+          val ns = wa + wb
+          if (ns < adj(a).getOrElse(b, Inf)) { adj(a)(b) = ns; adj(b)(a) = ns }
+          j += 1
+        }
+        i += 1
+      }
+      // Remove v; refresh neighbor priorities lazily.
+      i = 0
+      while (i < nbrs.length) {
+        val a = nbrs(i)._1
+        adj(a).remove(v)
+        if (elim(a)) pq.add(key(a))
+        i += 1
+      }
+      adj(v).clear()
+      r += 1
+    }
+    adj
+  }
+
   /** Full decomposition of the graph (n vertices, undirected weighted edges).
     *
     * @param forcedLast  null, or flags of vertices eliminated after all others
@@ -42,63 +101,18 @@ object MDE {
                 forcedLast: Array[Boolean] = null,
                 forcedRank: Array[Int] = null): TD = {
     val input = inputMap(edges)
-    val adj = Array.fill(n)(new mutable.HashMap[Int, Int]())
-    input.foreach { case (k, w) =>
-      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
-      adj(u)(v) = w; adj(v)(u) = w
-    }
     val forced = if (forcedLast != null) forcedLast else new Array[Boolean](n)
-
-    def prio(v: Int): Int =
-      if (!forced(v)) adj(v).size
-      else ForcedOffset + (if (forcedRank != null) forcedRank(v) else adj(v).size)
-
-    val pq = new java.util.PriorityQueue[java.lang.Long]()
-    var v0 = 0
-    while (v0 < n) { pq.add((prio(v0).toLong << 32) | v0.toLong); v0 += 1 }
-
-    val rank = Array.fill(n)(-1)
+    val rank = new Array[Int](n)
     val order = new Array[Int](n)
     val rawBag = new Array[Array[Int]](n)
     val rawSc = new Array[Array[Int]](n)
-
     var r = 0
-    while (r < n) {
-      // Lazy-deletion pop: skip stale (contracted or outdated-priority) entries.
-      var v = -1
-      var done = false
-      while (!done) {
-        val top = pq.poll().longValue()
-        val p = (top >>> 32).toInt; val cand = (top & 0xffffffffL).toInt
-        if (rank(cand) == -1 && p == prio(cand)) { v = cand; done = true }
-      }
+    eliminate(n, input, _ => true, (v, deg) =>
+      if (!forced(v)) deg
+      else ForcedOffset + (if (forcedRank != null) forcedRank(v) else deg)) { (v, nbrs) =>
       rank(v) = r; order(r) = v
-      val nbrs = adj(v).toArray
       rawBag(v) = nbrs.map(_._1)
       rawSc(v) = nbrs.map(_._2)
-      // All-pair shortcuts among the bag.
-      var i = 0
-      while (i < nbrs.length) {
-        val (a, wa) = nbrs(i)
-        var j = i + 1
-        while (j < nbrs.length) {
-          val (b, wb) = nbrs(j)
-          val ns = wa + wb
-          val cur = adj(a).getOrElse(b, Inf)
-          if (ns < cur) { adj(a)(b) = ns; adj(b)(a) = ns }
-          j += 1
-        }
-        i += 1
-      }
-      // Remove v; refresh neighbor priorities lazily.
-      i = 0
-      while (i < nbrs.length) {
-        val a = nbrs(i)._1
-        adj(a).remove(v)
-        pq.add((prio(a).toLong << 32) | a.toLong)
-        i += 1
-      }
-      adj(v).clear()
       r += 1
     }
 
@@ -232,53 +246,7 @@ object MDE {
     */
   def phase1(n: Int, edges: Iterable[(Int, Int, Int)],
              contract: Array[Boolean]): Seq[(Int, Int, Int)] = {
-    val input = inputMap(edges)
-    val adj = Array.fill(n)(new mutable.HashMap[Int, Int]())
-    input.foreach { case (k, w) =>
-      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
-      adj(u)(v) = w; adj(v)(u) = w
-    }
-    val pq = new java.util.PriorityQueue[java.lang.Long]()
-    val contracted = new Array[Boolean](n)
-    var total = 0
-    var v0 = 0
-    while (v0 < n) {
-      if (contract(v0)) { pq.add((adj(v0).size.toLong << 32) | v0.toLong); total += 1 }
-      v0 += 1
-    }
-    var r = 0
-    while (r < total) {
-      var v = -1
-      var done = false
-      while (!done) {
-        val top = pq.poll().longValue()
-        val p = (top >>> 32).toInt; val cand = (top & 0xffffffffL).toInt
-        if (!contracted(cand) && p == adj(cand).size) { v = cand; done = true }
-      }
-      contracted(v) = true
-      val nbrs = adj(v).toArray
-      var i = 0
-      while (i < nbrs.length) {
-        val (a, wa) = nbrs(i)
-        var j = i + 1
-        while (j < nbrs.length) {
-          val (b, wb) = nbrs(j)
-          val ns = wa + wb
-          if (ns < adj(a).getOrElse(b, Inf)) { adj(a)(b) = ns; adj(b)(a) = ns }
-          j += 1
-        }
-        i += 1
-      }
-      i = 0
-      while (i < nbrs.length) {
-        val a = nbrs(i)._1
-        adj(a).remove(v)
-        if (contract(a) && !contracted(a)) pq.add((adj(a).size.toLong << 32) | a.toLong)
-        i += 1
-      }
-      adj(v).clear()
-      r += 1
-    }
+    val adj = eliminate(n, inputMap(edges), contract(_), (_, deg) => deg)((_, _) => ())
     val out = new mutable.ArrayBuffer[(Int, Int, Int)]()
     var u = 0
     while (u < n) {

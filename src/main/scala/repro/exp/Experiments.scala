@@ -94,13 +94,6 @@ object Experiments {
     QueueSim.maxThroughput(profiles, dt, rq, seed)
   }
 
-  /** Same as `throughput` but reusing an already-profiled solution (for
-    * parameter sweeps that only change δt / R*q).
-    */
-  def throughputFromProfiles(profiles: IndexedSeq[StageProfile],
-                             deltaT: Double, rqStar: Double, seed: Long = 42): Double =
-    QueueSim.maxThroughput(profiles, deltaT, rqStar, seed)
-
   /** Exp 4: QPS (1/t_q of the fastest available stage) at sample points
     * across one update interval.
     */

@@ -12,7 +12,6 @@ import scala.collection.mutable
   *               partition's boundary vertex set, all overlay vertices)
   */
 final case class TDPartition(k: Int, partOf: Array[Int], roots: Array[Int]) {
-  def isOverlay(v: Int): Boolean = partOf(v) == -1
   def overlayCount: Int = partOf.count(_ == -1)
 }
 

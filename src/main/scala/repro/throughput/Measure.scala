@@ -1,12 +1,11 @@
 package repro.throughput
 
-import repro.baseline.QueryStage
 import repro.graph.DatasetSpec
 import scala.util.Random
 
-/** Measurement harness shared by the benchmark suites: turns a solution's
-  * released query stages into empirical [[StageProfile]]s by timing real
-  * queries (one warm-up pass, one measured pass).
+/** Measurement harness shared by the benchmark suites: random query pairs
+  * and per-query wall times of a released stage (one warm-up pass, one
+  * measured pass), from which [[StageProfile]]s are built.
   */
 object Measure {
 
@@ -31,10 +30,6 @@ object Measure {
     if (sink == Long.MinValue) println(sink) // defeat dead-code elimination
     out
   }
-
-  def profiles(stages: IndexedSeq[QueryStage],
-               pairs: IndexedSeq[(Int, Int)]): IndexedSeq[StageProfile] =
-    stages.map(st => StageProfile(st.availableFrom, sampleTimes(st.query, pairs), st.label))
 }
 
 /** Table II parameters, rescaled to this reproduction (DESIGN.md §2):

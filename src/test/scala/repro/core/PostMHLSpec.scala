@@ -129,6 +129,40 @@ class PostMHLSpec extends AnyFunSuite {
     }
   }
 
+  test("boundary arrays and same-partition queries stay exact as overlay boundary labels change") {
+    val g = GridGen.grid(6, 30, seed = 93)
+    val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 4)
+    assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
+    // D is read off the overlay labels: partB(i) must lie on roots(i)'s
+    // ancestor chain in strictly ascending depth.
+    for (i <- 0 until p.k) {
+      val chain = p.td.ancestorChain(p.roots(i)).toSet
+      val bs = p.partB(i)
+      assert(bs.forall(chain.contains), s"partB($i) leaves the root's ancestor chain")
+      assert(bs.indices.drop(1).forall(j => p.td.depth(bs(j - 1)) < p.td.depth(bs(j))),
+        s"partB($i) not in ascending depth")
+    }
+    val members = (0 until p.k).map(i => (0 until g.n).filter(p.partOf(_) == i))
+    val boundaryVs = p.partB.flatten.distinct
+    val rnd = new Random(94)
+    var boundaryLabelsChanged = 0
+    for (r <- 1 to 5) {
+      val before = boundaryVs.map(b => p.dis(b).clone())
+      p.applyUpdateBatch(Datasets.updateBatch(g, 40, seed = 3000 + r))
+      boundaryLabelsChanged += boundaryVs.indices.count(j => !before(j).sameElements(p.dis(boundaryVs(j))))
+      for (i <- 0 until p.k) {
+        val fromB = p.partB(i).map(Dijkstra.sssp(g, _))
+        for (v <- members(i); j <- p.partB(i).indices)
+          assert(p.disB(v)(j) == fromB(j)(v), s"round $r disB($v)(${p.partB(i)(j)})")
+        for (_ <- 1 to 30) {
+          val s = members(i)(rnd.nextInt(members(i).size)); val t = members(i)(rnd.nextInt(members(i).size))
+          assert(p.queryPost(s, t) == Dijkstra.query(g, s, t), s"round $r Post ($s,$t)")
+        }
+      }
+    }
+    assert(boundaryLabelsChanged > 0, "no batch changed a boundary label, so U4 never rebuilt a partition")
+  }
+
   test("bandwidth sweep changes overlay size monotonically (Exp 8 mechanism)") {
     val g = GridGen.grid(8, 40, seed = 92)
     val ovCounts = Seq(6, 10, 16).map { tau =>

@@ -3,10 +3,14 @@
 
     python3 tools/ab_bench.py PARENT CHANGE --seeds 401-410
     python3 tools/ab_bench.py HEAD~1 HEAD --seeds 401,402,403 --workloads postmhl-ec --out ab.json
+    python3 tools/ab_bench.py HEAD WORKTREE --seeds 401-410
 
 Each revision is unpacked with `git archive` into its own temporary
 directory (under $TMPDIR), so neither the working tree nor any ref of the
-repository changes, and each side builds into its own directory. For every
+repository changes, and each side builds into its own directory. The change
+side may be `WORKTREE`: then the files `git ls-files -co --exclude-standard`
+lists (tracked and untracked, not ignored) are copied from the working tree
+instead, so an uncommitted change can be compared without a commit. For every
 seed and workload the script runs `perfbench/run.py` once on each side with
 the same seed and `--seconds`; the side that runs first alternates from one
 pair to the next. Workloads and end-to-end metrics come from the change's
@@ -30,6 +34,7 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKTREE = "WORKTREE"
 
 
 def log(msg):
@@ -48,8 +53,17 @@ def parse_seeds(text):
 
 
 def unpack(rev, into):
-    """Write the tree of `rev` into the directory `into`."""
+    """Write the tree of `rev` (or the working tree, for WORKTREE) into the directory `into`."""
     os.makedirs(into)
+    if rev == WORKTREE:
+        listed = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=REPO,
+                                stdout=subprocess.PIPE, check=True).stdout.decode().split("\0")
+        for path in listed:
+            src = os.path.join(REPO, path)
+            if path and os.path.lexists(src):  # a tracked file deleted in the working tree is skipped
+                os.makedirs(os.path.dirname(os.path.join(into, path)), exist_ok=True)
+                shutil.copy2(src, os.path.join(into, path), follow_symlinks=False)
+        return
     archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=REPO, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", into], stdin=archive.stdout, check=True)
     archive.stdout.close()
@@ -108,7 +122,7 @@ def fmt(x):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", help="git revision of the parent side")
-    ap.add_argument("change", help="git revision of the change side")
+    ap.add_argument("change", help="git revision of the change side, or WORKTREE for the working tree")
     ap.add_argument("--seeds", required=True, help="seeds, e.g. 401-410 or 401,405")
     ap.add_argument("--workloads", help="comma-separated workloads (default: all in BENCHMARK.json)")
     ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
