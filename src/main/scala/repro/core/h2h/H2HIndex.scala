@@ -13,6 +13,9 @@ import scala.collection.mutable
   * vertices whose shortcut arrays changed, so those subtrees are recomputed
   * from their highest affected roots (tracking which labels actually moved,
   * which downstream PSP stages need).
+  *
+  * The recurrence ([[relax]] over a depth range) and the subtree [[walk]]
+  * also serve PostMHL, whose index parts are depth ranges of one label array.
   */
 final class H2HIndex(val td: TD) {
   import TD.Inf
@@ -27,57 +30,52 @@ final class H2HIndex(val td: TD) {
     s
   }
 
+  /** The H2H recurrence over depths [lo, hi): `arr(j)` becomes the minimum
+    * over v's bag members of their [[H2HIndex.relaxMember]] terms.
+    */
+  private[core] def relax(v: Int, pathDis: Array[Array[Int]], lo: Int, hi: Int,
+                          arr: Array[Int]): Unit = {
+    java.util.Arrays.fill(arr, lo, hi, Inf)
+    val bg = td.bag(v); val sv = td.sc(v)
+    var i = 0
+    while (i < bg.length) { H2HIndex.relaxMember(sv(i), td.depth(bg(i)), pathDis, lo, hi, arr); i += 1 }
+  }
+
   /** The label of `v` from its bag's shortcuts and `pathDis(j)`, the label
     * of v's ancestor at depth j (only ancestors are read).
     */
   private[core] def computeDis(v: Int, pathDis: Array[Array[Int]]): Array[Int] = {
-    val d = td.depth(v)
-    val arr = new Array[Int](d + 1)
-    java.util.Arrays.fill(arr, Inf)
-    arr(d) = 0
-    val bg = td.bag(v); val sv = td.sc(v)
-    var i = 0
-    while (i < bg.length) {
-      val x = bg(i); val dx = td.depth(x); val scv = sv(i)
-      val disx = pathDis(dx)
-      var j = 0
-      while (j < d) {
-        val dxj =
-          if (j < dx) disx(j)
-          else if (j == dx) 0
-          else pathDis(j)(dx)
-        val cand = scv + dxj
-        if (cand < arr(j)) arr(j) = cand
-        j += 1
-      }
-      i += 1
-    }
+    val arr = new Array[Int](td.depth(v) + 1)
+    relax(v, pathDis, 0, td.depth(v), arr)
     arr
   }
 
-  /** Preorder walk of `root`'s subtree computing labels; if `collectChanged`
-    * is non-null, vertices whose label array differs from before are added.
+  /** Top-down walk of `top`'s subtree, entering only children for which
+    * `descend` holds: each visited `v` gets `dis(v) = label(v)`, which is
+    * then `pathDis(depth(v))` for its descendants. The path above `top` is
+    * filled from the current labels.
     */
-  private def buildSubtree(root: Int, pathDis: Array[Array[Int]],
-                           collectChanged: mutable.ArrayBuffer[Int]): Unit = {
-    val stack = new java.util.ArrayDeque[Integer]()
-    stack.push(root)
-    while (!stack.isEmpty) {
-      val v = stack.pop().intValue()
-      val arr = computeDis(v, pathDis)
-      if (collectChanged != null && !java.util.Arrays.equals(arr, dis(v))) collectChanged += v
-      dis(v) = arr
-      pathDis(td.depth(v)) = arr
+  private[core] def walk(top: Int, pathDis: Array[Array[Int]], descend: Int => Boolean)
+                        (label: Int => Array[Int]): Unit = {
+    var x = td.parent(top)
+    while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
+    var stack = Array(top); var size = 1
+    while (size > 0) {
+      size -= 1
+      val v = stack(size)
+      dis(v) = label(v)
+      pathDis(td.depth(v)) = dis(v)
       val ch = td.children(v)
+      if (size + ch.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (size + ch.length))
       var i = 0
-      while (i < ch.length) { stack.push(ch(i)); i += 1 }
+      while (i < ch.length) { if (descend(ch(i))) { stack(size) = ch(i); size += 1 }; i += 1 }
     }
   }
 
   /** Full top-down construction. */
   def build(): Unit = {
     val pathDis = new Array[Array[Int]](td.height)
-    td.roots.foreach(r => buildSubtree(r, pathDis, null))
+    td.roots.foreach(walk(_, pathDis, _ => true)(computeDis(_, pathDis)))
   }
 
   /** DH2H-style top-down maintenance: recompute the subtrees rooted at the
@@ -86,11 +84,10 @@ final class H2HIndex(val td: TD) {
   def updateSubtrees(affected: Array[Int]): Array[Int] = {
     val changed = new mutable.ArrayBuffer[Int]()
     val pathDis = new Array[Array[Int]](td.height)
-    for (v <- td.subtreeTops(affected)) {
-      // Fill the path above v with current (unchanged) ancestor labels.
-      var x = td.parent(v)
-      while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
-      buildSubtree(v, pathDis, changed)
+    for (top <- td.subtreeTops(affected)) walk(top, pathDis, _ => true) { v =>
+      val arr = computeDis(v, pathDis)
+      if (!java.util.Arrays.equals(arr, dis(v))) changed += v
+      arr
     }
     changed.toArray
   }
@@ -113,5 +110,24 @@ final class H2HIndex(val td: TD) {
       i += 1
     }
     best
+  }
+}
+
+object H2HIndex {
+
+  /** One bag member's term of the H2H recurrence: for a member x at depth
+    * `dx` with shortcut weight `sc`, lowers `arr(j)`, j in [lo, hi), to
+    * `sc + dist(x, a_j)`, a_j being the ancestor at depth j whose label is
+    * `pathDis(j)`: `pathDis(dx)(j)` above x, 0 at x, `pathDis(j)(dx)` below
+    * (one loop per case, so no loop branches on j).
+    */
+  def relaxMember(sc: Int, dx: Int, pathDis: Array[Array[Int]], lo: Int, hi: Int,
+                  arr: Array[Int]): Unit = {
+    val disx = pathDis(dx)
+    var j = lo
+    val above = math.min(dx, hi)
+    while (j < above) { val cand = sc + disx(j); if (cand < arr(j)) arr(j) = cand; j += 1 }
+    if (j == dx && j < hi) { if (sc < arr(j)) arr(j) = sc; j += 1 }
+    while (j < hi) { val cand = sc + pathDis(j)(dx); if (cand < arr(j)) arr(j) = cand; j += 1 }
   }
 }

@@ -153,17 +153,8 @@ final class CrossBoundary(
       var ki = 0
       while (ki < bg.length) {
         val scx = sv(ki); val xb = sl(ki)
-        if (xb < 0) {
-          val dx = depthStar(bg(ki))
-          val disx = pathDis(dx)
-          var j = 0
-          while (j < dv) {
-            val dxa = if (j < dx) disx(j) else if (j == dx) 0 else pathDis(j)(dx)
-            val cand = scx + dxa
-            if (cand < arr(j)) arr(j) = cand
-            j += 1
-          }
-        } else {
+        if (xb < 0) H2HIndex.relaxMember(scx, depthStar(bg(ki)), pathDis, 0, dv, arr)
+        else {
           val mx = m(xb)
           var j = 0
           while (j < dv) {

@@ -20,13 +20,13 @@ import repro.util.Parallel
   *    entries to in-partition ancestors, built per Algorithm 4 so it needs
   *    only the overlay index: X(root).N lies on the root's ancestor chain,
   *    so the boundary all-pair map D is read off the overlay labels;
-  *  - the **cross-boundary index** is the entries to overlay ancestors,
-  *    the standard H2H recurrence top-down per partition.
+  *  - the **cross-boundary index** is the entries to overlay ancestors.
   *
   * The assembled `dis` arrays are exactly the H2H labels of `td` (tested),
   * which is the Remark-2 claim that PostMHL reaches DH2H query efficiency:
   * they live in an [[H2HIndex]], whose query serves the overlay and the
-  * final stage.
+  * final stage. The three parts are depth ranges of that one label array,
+  * each computed by its recurrence and top-down walk.
   *
   * Stages (Figure 9): U1 edge → U2 shortcuts (partition-parallel with
   * deferred overlay slots) → U3 overlay labels → U4 post-boundary ∥
@@ -37,7 +37,8 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   import TD.Inf
 
   val n: Int = g.n
-  var buildTimes: Array[Double] = _
+  /** Build seconds: MDE, TD-partitioning, overlay, post-, cross-boundary. */
+  val buildTimes = new Array[Double](5)
 
   val td: TD = timeIt(0) { MDE.decompose(n, g.undirectedEdges) }
   private val upd = new ShortcutUpdater(td)
@@ -49,7 +50,6 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     * the root's ancestor chain in ascending depth.
     */
   val partB: Array[Array[Int]] = roots.map(v => td.bag(v))
-  private val chains: Array[Array[Int]] = roots.map(td.ancestorChain) // incl. root itself
 
   /** H2H labels of `td`, assembled by stage: overlay entries for overlay
     * vertices, split post/cross ranges for in-partition vertices.
@@ -64,7 +64,6 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   private val chQ = new CHQuery(UpwardGraph.fromTD(td))
 
   private def timeIt[A](slot: Int)(f: => A): A = {
-    if (buildTimes == null) buildTimes = new Array[Double](5)
     val t0 = System.nanoTime()
     val r = f
     buildTimes(slot) += (System.nanoTime() - t0) / 1e9
@@ -77,116 +76,54 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads)
   }
   timeIt(4) {
-    Parallel.run((0 until k).map(i => () => buildCross(i, roots(i))), threads)
+    Parallel.run((0 until k).map(i => () => buildCross(i, Array(roots(i)))), threads)
   }
 
-  /** (Re)build the overlay labels of the overlay subtrees of `fromRoots`,
+  /** (Re)build the overlay labels of the overlay subtrees of `tops`,
     * top-down.
     */
-  private def buildOverlay(fromRoots: Array[Int]): Unit = {
+  private def buildOverlay(tops: Array[Int]): Unit = {
     val pathDis = new Array[Array[Int]](td.height)
-    for (r <- fromRoots) {
-      var x = td.parent(r)
-      while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
-      val stack = new java.util.ArrayDeque[Integer]()
-      stack.push(r)
-      while (!stack.isEmpty) {
-        val v = stack.pop().intValue()
-        val arr = labels.computeDis(v, pathDis)
-        dis(v) = arr
-        pathDis(td.depth(v)) = arr
-        td.children(v).foreach(c => if (partOf(c) == -1) stack.push(c))
-      }
-    }
+    tops.foreach(labels.walk(_, pathDis, partOf(_) == -1)(labels.computeDis(_, pathDis)))
   }
 
   /** Post-boundary pass (Algorithm 4 lines 5-31) over the subtrees of
     * `tops` in partition i. The boundary all-pair map D comes from the
     * current overlay labels: partB(i) is in ascending depth, so for a < b,
     * `D(a)(b)` is the label of bs(b) at the depth of its ancestor bs(a).
+    * As partB(i) are ancestors of v, `disB(v)` is also v's label at their
+    * depths; written there first, it is what the H2H recurrence over the
+    * in-partition depths [du, dv) reads for a boundary member.
     */
   private def buildPost(i: Int, tops: Array[Int]): Unit = {
     val bs = partB(i); val du = td.depth(roots(i))
+    val bDepth = bs.map(td.depth)
     val d = Array.tabulate(bs.length, bs.length) { (a, b) =>
-      if (a < b) dis(bs(b))(td.depth(bs(a))) else if (a > b) dis(bs(a))(td.depth(bs(b))) else 0
+      if (a < b) dis(bs(b))(bDepth(a)) else if (a > b) dis(bs(a))(bDepth(b)) else 0
     }
-    val pathVert = new Array[Int](td.height)
-    for (from <- tops) {
-      var x = td.parent(from)
-      while (x != -1) { pathVert(td.depth(x)) = x; x = td.parent(x) }
-      val stack = new java.util.ArrayDeque[Integer]()
-      stack.push(from)
-      while (!stack.isEmpty) {
-        val v = stack.pop().intValue()
-        val dv = td.depth(v)
-        val bg = td.bag(v); val sv = td.sc(v); val sl = slots(v)
-        disB(v) = BoundaryLabels.boundaryArray(bg, sv, sl, d, disB)
-        // distance-array entries to in-partition ancestors [du, dv)
-        val arr = if (dis(v) != null && dis(v).length == dv + 1) dis(v)
-                  else { val a = new Array[Int](dv + 1); java.util.Arrays.fill(a, Inf); a }
-        var j = du
-        while (j < dv) {
-          var best = Inf
-          val aj = pathVert(j)
-          val dbAj = disB(aj)
-          val disAj = dis(aj)
-          var ki = 0
-          while (ki < bg.length) {
-            val xk = bg(ki)
-            val dxa =
-              if (sl(ki) >= 0) dbAj(sl(ki))
-              else {
-                val dxk = td.depth(xk)
-                if (dxk > j) dis(xk)(j) else if (dxk == j) 0 else disAj(dxk)
-              }
-            val cand = sv(ki) + dxa
-            if (cand < best) best = cand
-            ki += 1
-          }
-          arr(j) = best
-          j += 1
-        }
-        arr(dv) = 0
-        dis(v) = arr
-        pathVert(dv) = v
-        td.children(v).foreach(stack.push(_))
-      }
+    val pathDis = new Array[Array[Int]](td.height)
+    for (top <- tops) labels.walk(top, pathDis, _ => true) { v =>
+      val dv = td.depth(v)
+      val b = BoundaryLabels.boundaryArray(td.bag(v), td.sc(v), slots(v), d, disB)
+      disB(v) = b
+      val arr = if (dis(v) != null) dis(v)
+                else { val a = new Array[Int](dv + 1); java.util.Arrays.fill(a, 0, dv, Inf); a }
+      var p = 0
+      while (p < bs.length) { arr(bDepth(p)) = b(p); p += 1 }
+      labels.relax(v, pathDis, du, dv, arr)
+      arr
     }
   }
 
-  /** Cross-boundary pass: entries to overlay ancestors [0, du) — the
-    * standard H2H recurrence (everything it reads is overlay labels or
+  /** Cross-boundary pass: the labels at the overlay depths [0, du) — the
+    * H2H recurrence again (everything it reads is overlay labels or
     * earlier cross entries in the same partition).
     */
-  private def buildCross(i: Int, from: Int): Unit = {
+  private def buildCross(i: Int, tops: Array[Int]): Unit = {
     val du = td.depth(roots(i))
-    val chain = chains(i) // ancestors of root incl. root; chain(j) for j < du is overlay
-    val stack = new java.util.ArrayDeque[Integer]()
-    stack.push(from)
-    while (!stack.isEmpty) {
-      val v = stack.pop().intValue()
-      val dv = td.depth(v)
-      val bg = td.bag(v); val sv = td.sc(v)
-      val arr = dis(v) // allocated by post pass
-      var j = 0
-      while (j < du) {
-        var best = Inf
-        var ki = 0
-        while (ki < bg.length) {
-          val xk = bg(ki); val scx = sv(ki)
-          val dxk = td.depth(xk)
-          val dxa =
-            if (dxk > j) dis(xk)(j)
-            else if (dxk == j) 0
-            else dis(chain(j))(dxk)
-          val cand = scx + dxa
-          if (cand < best) best = cand
-          ki += 1
-        }
-        arr(j) = best
-        j += 1
-      }
-      td.children(v).foreach(stack.push(_))
+    val pathDis = new Array[Array[Int]](td.height)
+    for (top <- tops) labels.walk(top, pathDis, _ => true) { v =>
+      labels.relax(v, pathDis, 0, du, dis(v)); dis(v)
     }
   }
 
@@ -294,7 +231,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     mark(3)
 
     // U5: cross-boundary update (partition-parallel).
-    Parallel.run((0 until k).filter(tops(_) != null).map(i => () => tops(i).foreach(buildCross(i, _))), threads)
+    Parallel.run((0 until k).filter(tops(_) != null).map(i => () => buildCross(i, tops(i))), threads)
     mark(4)
 
     StageTimes(times)

@@ -23,9 +23,6 @@ final class RoadGraph(
   /** Number of undirected edges. */
   val m: Int = dst.length / 2
 
-  /** Degree of vertex `v`. */
-  def degree(v: Int): Int = off(v + 1) - off(v)
-
   /** Iterate neighbors of `v` as (neighbor, weight) without allocation. */
   def foreachNeighbor(v: Int)(f: (Int, Int) => Unit): Unit = {
     var i = off(v)

@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.graph.GridGen
 import repro.core.sp.Dijkstra
 import org.apache.spark.sql.functions._
@@ -57,19 +57,5 @@ class SparkLabelSpec extends SparkSpec {
     // every vertex appears
     assert(labels.select("vertex").distinct().count() == g.n)
     labels.unpersist()
-  }
-
-  test("SynthData + Oracle scaffolding works end to end (TPC-H-lite aggregate)") {
-    val li = SynthData.lineitem(spark, sf = 0.002).cache()
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 4) as "sum_qty")
-      .select(col("l_returnflag"), col("cnt").cast("long") as "cnt", col("sum_qty"))
-    Oracle.assertEquivalent(
-      agg,
-      """SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 4) AS sum_qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-    li.unpersist()
   }
 }

@@ -23,6 +23,16 @@ pairs and its median is better than the parent's by more than the distance
 between the parent's quartiles. Quartiles interpolate linearly between the
 sorted runs. A run that fails, or reports a wrong answer, is printed and left
 out of the pairs.
+
+The "no regression" column applies the metric's `bound` from `BENCHMARK.json`
+(a fraction of the parent median):
+
+    ok          the change median is not worse than the parent median by more
+                than bound x parent median;
+    worse       it is;
+    unresolved  the parent's quartile spread exceeds bound x parent median and
+                not every change run beats every parent run, so the runs spread
+                too widely to tell.
 """
 import argparse
 import json
@@ -96,8 +106,18 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def no_regression(par, chg, pm, pq, cm, bound, lower):
+    """ok, worse or unresolved under the no-regression rule with `bound` (see the docstring)."""
+    limit = bound * abs(pm)
+    beats_all = max(chg) < min(par) if lower else min(chg) > max(par)
+    if pq[1] - pq[0] > limit and not beats_all:
+        return "unresolved"
+    rise = (cm - pm) if lower else (pm - cm)
+    return "worse" if rise > limit else "ok"
+
+
 def summarize(pairs, metrics):
-    """Rows of (metric, parent stats, change stats, wins, claim holds)."""
+    """Rows of (metric, parent stats, change stats, wins, claim holds, no regression)."""
     rows = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -111,7 +131,8 @@ def summarize(pairs, metrics):
         pq, cq = quartiles(par), quartiles(chg)
         gain = (pm - cm) if lower else (cm - pm)
         holds = wins * 10 >= 9 * len(got) and gain > pq[1] - pq[0]
-        rows.append((name, pm, pq, cm, cq, wins, len(got), holds))
+        verdict = no_regression(par, chg, pm, pq, cm, m["bound"], lower)
+        rows.append((name, pm, pq, cm, cq, wins, len(got), holds, verdict))
     return rows
 
 
@@ -163,14 +184,15 @@ def main():
                 json.dump({"parent": a.parent, "change": a.change, "seconds": seconds, "runs": runs}, f,
                           indent=1)
         print("parent %s, change %s, --seconds %g, seeds %s" % (a.parent, a.change, seconds, a.seeds))
-        print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins | claim holds |")
-        print("|---|---|---|---|---|---|")
+        print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins "
+              "| claim holds | no regression |")
+        print("|---|---|---|---|---|---|---|")
         for w in workloads:
             pairs = [(r["parent"], r["change"]) for r in runs[w]]
-            for name, pm, pq, cm, cq, wins, n, holds in summarize(pairs, bench["end_to_end"]):
-                print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %d/%d | %s |" % (
+            for name, pm, pq, cm, cq, wins, n, holds, verdict in summarize(pairs, bench["end_to_end"]):
+                print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %d/%d | %s | %s |" % (
                     w, name, fmt(pm), fmt(pq[0]), fmt(pq[1]), fmt(cm), fmt(cq[0]), fmt(cq[1]), wins, n,
-                    "yes" if holds else "no"))
+                    "yes" if holds else "no", verdict))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
