@@ -28,8 +28,8 @@ import repro.util.Parallel
   * final stage. The three parts are depth ranges of that one label array,
   * each computed by its recurrence and top-down walk.
   *
-  * Stages (Figure 9): U1 edge → U2 shortcuts (partition-parallel with
-  * deferred overlay slots) → U3 overlay labels → U4 post-boundary ∥
+  * Stages (Figure 9): U1 edge → U2 shortcuts (partition sweeps in
+  * parallel, then one overlay sweep) → U3 overlay labels → U4 post-boundary ∥
   * U5 cross-boundary. Queries: BiDijkstra → PCH → post-boundary → full H2H.
   */
 final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
@@ -178,22 +178,20 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     batch.foreach { case (u, v, w) => g.setWeight(u, v, w) }
     mark(0)
 
-    // U2: shortcut update — partition-parallel, overlay slots deferred.
-    val seeds = upd.seed(batch)
-    val byPart = seeds.groupBy(e => partOf(td.order((e >>> 20).toInt)))
+    // U2: shortcut update. The partitions sweep their own owners in
+    // parallel; the overlay owners they mark stay set and are swept after,
+    // together with the overlay's own seeds.
+    val byPart = batch.groupBy { case (u, v, _) => partOf(td.pairOwner(u, v)) }
     val affectedByPart = new Array[Array[Int]](k)
-    val deferred = new java.util.concurrent.ConcurrentLinkedQueue[Long]()
+    val handOff = new Array[java.util.BitSet](k)
     Parallel.run(byPart.keys.filter(_ != -1).toSeq.map(i => () => {
-      val res = upd.process(byPart(i), o => partOf(o) == i)
-      affectedByPart(i) = res.affected
-      res.deferredSlots.foreach(deferred.add)
+      val marks = upd.seed(byPart(i))
+      affectedByPart(i) = upd.sweep(marks, partOf(_) == i).affected
+      handOff(i) = marks
     }), threads)
-    import scala.jdk.CollectionConverters._
-    // Deferred slots lost their cause bookkeeping at the partition/overlay
-    // hand-off, so they re-enter with forced-rescan semantics.
-    val ovRes = upd.process(byPart.getOrElse(-1, IndexedSeq.empty),
-      o => partOf(o) == -1, rescanSeeds = deferred.asScala.toIndexedSeq.distinct)
-    require(ovRes.deferredSlots.isEmpty, "overlay pass must not defer")
+    val ovMarks = upd.seed(byPart.getOrElse(-1, Nil))
+    handOff.foreach(m => if (m != null) ovMarks.or(m))
+    val ovRes = upd.sweep(ovMarks, partOf(_) == -1)
     mark(1)
 
     // U3: overlay label update from the highest affected overlay vertices.

@@ -135,7 +135,7 @@ object MDE {
       if (bag(v).nonEmpty) parent(v) = bag(v).last
       v += 1
     }
-    val (sup, supSlots, pairRefs) = triangles(n, order, bag)
+    val (sup, supSlots) = triangles(n, order, bag)
 
     val childBuf = Array.fill(n)(new mutable.ArrayBuffer[Int](2))
     v = 0
@@ -152,20 +152,20 @@ object MDE {
       ri -= 1
     }
 
-    new TD(n, rank, order, parent, children, depth, bag, sc, base, sup, supSlots, pairRefs, roots)
+    new TD(n, rank, order, parent, children, depth, bag, sc, base, sup, supSlots, roots)
   }
 
   /** The shortcut triangles of the final bags: vertex w supports the pair
     * (bag(w)(pa), bag(w)(pb)) for every pa < pb, and the pair's slot lives in
     * the bag of its lower-rank endpoint bag(w)(pb). Returns `TD.supporters`
-    * (each list in ascending rank), `TD.supSlots` and `TD.pairRefs`.
+    * (each list in ascending rank) and `TD.supSlots`.
     *
     * Owners are visited one at a time: a position scratch array maps each
     * member of the owner's bag to its slot, and a reverse-bag CSR lists the
     * vertices whose bags hold the owner, so each triangle costs O(1).
     */
   private def triangles(n: Int, order: Array[Int], bag: Array[Array[Int]])
-      : (Array[Array[Array[Int]]], Array[Array[Array[Int]]], Array[Array[Long]]) = {
+      : (Array[Array[Array[Int]]], Array[Array[Array[Int]]]) = {
     // Reverse bags: revW(off(o) until off(o + 1)) are the w with o in bag(w),
     // ascending in rank, and revPos the position of o in each bag(w).
     val off = new Array[Int](n + 1)
@@ -190,10 +190,6 @@ object MDE {
 
     val sup = new Array[Array[Array[Int]]](n)
     val supSlots = new Array[Array[Array[Int]]](n)
-    val pairRefs = Array.tabulate(n) { w =>
-      val d = bag(w).length
-      if (d < 2) Array.emptyLongArray else new Array[Long](TD.pairIndex(d - 2, d - 1) + 1)
-    }
     val pos = Array.fill(n)(-1)
     var o = 0
     while (o < n) {
@@ -219,13 +215,12 @@ object MDE {
       java.util.Arrays.fill(count, 0)
       k = off(o)
       while (k < off(o + 1)) {
-        val w = revW(k); val bw = bag(w); val pb = revPos(k); val refs = pairRefs(w)
+        val w = revW(k); val bw = bag(w); val pb = revPos(k)
         var pa = 0
         while (pa < pb) {
           val s = pos(bw(pa)); val j = count(s)
           so(s)(j) = w
           po(s)(j) = (pb << 16) | pa
-          refs(TD.pairIndex(pa, pb)) = (s.toLong << 32) | j.toLong
           count(s) = j + 1
           pa += 1
         }
@@ -236,7 +231,7 @@ object MDE {
       while (i < bo.length) { pos(bo(i)) = -1; i += 1 }
       o += 1
     }
-    (sup, supSlots, pairRefs)
+    (sup, supSlots)
   }
 
   /** Phase-1 contraction: eliminate only the `contract`-marked vertices by

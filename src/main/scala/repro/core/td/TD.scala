@@ -21,20 +21,15 @@ import repro.util.TreeLca
   *  - `supSlots(v)(i)(j)` — where the j-th supporter `w` of slot (v, i)
   *                  holds the two halves of its triangle, packed as
   *                  `slotOf(w, v) << 16 | slotOf(w, bag(v)(i))`, so its
-  *                  contribution `sc(w)(hi) + sc(w)(lo)` is two array reads;
-  *  - `pairRefs(w)(TD.pairIndex(pa, pb))`, for bag positions `pa < pb` of w —
-  *                  the pair (bag(w)(pa), bag(w)(pb)) that w supports, as
-  *                  `slot << 32 | j`: its owner is `bag(w)(pb)` (the lower
-  *                  rank), `slot` is its index in the owner's bag, and w is
-  *                  `supporters(owner)(slot)(j)`. Each of w's triangles
-  *                  appears once here and once in `supporters`/`supSlots`.
+  *                  contribution `sc(w)(hi) + sc(w)(lo)` is two array reads.
   *
   * These are the triangles of Customizable Contraction Hierarchies
-  * (Dibbelt, Strasser, Wagner, ACM JEA 2016). All three tables are fixed at
+  * (Dibbelt, Strasser, Wagner, ACM JEA 2016). Both tables are fixed at
   * construction; only `sc` and `base` change under maintenance. Bags have
   * fewer than 2^16 members (checked by [[MDE]]), so slots fit in 16 bits.
   *
-  * The invariant maintained by construction and by [[ShortcutUpdater]]:
+  * The invariant set up by construction and maintained by the sweep of
+  * [[ShortcutUpdater]]:
   * `sc(v)(i) == min(base(v)(i), min_w sc(w,v)+sc(w,bag(v)(i)))`.
   *
   * The tree may be a forest if the input graph is disconnected; `parent`
@@ -52,7 +47,6 @@ final class TD(
     val base: Array[Array[Int]],
     val supporters: Array[Array[Array[Int]]],
     val supSlots: Array[Array[Array[Int]]],
-    val pairRefs: Array[Array[Long]],
     val roots: Array[Int],
 ) {
   import TD.Inf
@@ -130,10 +124,4 @@ final class TD(
 object TD {
   /** "Infinite" distance guard; small enough that a few additions can't overflow Int. */
   val Inf: Int = Int.MaxValue / 4
-
-  /** Position of bag pair (pa, pb), pa < pb, in a triangular `pairRefs`
-    * row. The product stays below 2^32 for bags under 2^16, so the unsigned
-    * shift is exact even where it wraps a signed Int.
-    */
-  @inline def pairIndex(pa: Int, pb: Int): Int = ((pb * (pb - 1)) >>> 1) + pa
 }

@@ -1,5 +1,6 @@
 package repro.graph
 
+import repro.core.td.TD
 import scala.collection.mutable.ArrayBuffer
 
 /** Compact undirected weighted road network.
@@ -42,9 +43,14 @@ final class RoadGraph(
     if (i < 0) -1 else w(i)
   }
 
-  /** Set the weight of undirected edge (u, v) in both arc directions. */
+  /** Set the weight of undirected edge (u, v) in both arc directions. The
+    * weight must be positive and so small that no simple path (at most
+    * n - 1 edges) sums to `TD.Inf`.
+    */
   def setWeight(u: Int, v: Int, nw: Int): Unit = {
     require(nw > 0, "non-positive weight")
+    require((n - 1).toLong * nw < TD.Inf,
+      s"weight $nw on edge ($u,$v): a path of ${n - 1} such edges would reach Inf")
     val i = arcIndex(u, v); val j = arcIndex(v, u)
     require(i >= 0 && j >= 0, s"edge ($u,$v) not present")
     w(i) = nw; w(j) = nw

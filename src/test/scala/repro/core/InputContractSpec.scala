@@ -2,10 +2,11 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GridGen
-import repro.core.td.{MDE, ShortcutUpdater}
+import repro.core.td.{MDE, ShortcutUpdater, TD}
 
 /** Weight updates obey the same contract as graph construction: every
-  * weight is positive.
+  * weight is positive. A weight update is also capped, so that no simple
+  * path sums to `TD.Inf`.
   */
 class InputContractSpec extends AnyFunSuite {
 
@@ -15,6 +16,18 @@ class InputContractSpec extends AnyFunSuite {
     for (bad <- Seq(0, -1, Int.MinValue))
       intercept[IllegalArgumentException] { g.setWeight(u, v, bad) }
     assert(g.weight(u, v) == w && g.weight(v, u) == w)
+  }
+
+  test("RoadGraph.setWeight rejects weights that let a simple path reach TD.Inf") {
+    val g = GridGen.grid(3, 3, seed = 3)
+    val (u, v, w) = g.undirectedEdges.head
+    val cap = (TD.Inf - 1) / (g.n - 1) // the largest weight whose (n - 1)-fold sum stays below Inf
+    for (bad <- Seq(cap + 1, TD.Inf, Int.MaxValue))
+      intercept[IllegalArgumentException] { g.setWeight(u, v, bad) }
+    assert(g.weight(u, v) == w && g.weight(v, u) == w)
+    val c = g.copyWeights()
+    c.setWeight(u, v, cap)
+    assert(c.weight(u, v) == cap && c.weight(v, u) == cap)
   }
 
   test("ShortcutUpdater.seed rejects zero and negative weights") {

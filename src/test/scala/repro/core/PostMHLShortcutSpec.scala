@@ -6,18 +6,18 @@ import repro.core.postmhl.PostMHL
 import repro.core.td.{MDE, ShortcutUpdater}
 import scala.util.Random
 
-/** PostMHL's U-Stage 2 runs the partitions in parallel and hands the
-  * overlay slots they reach to a second pass as forced rescans. Its
-  * maintained shortcut arrays must equal a fresh decomposition in the same
-  * vertex order after every batch.
+/** PostMHL's U-Stage 2 sweeps the partitions in parallel and hands the
+  * overlay owners they mark to one overlay sweep. Its maintained shortcut
+  * arrays must equal a fresh decomposition in the same vertex order, and a
+  * plain single-sweep updater, after every batch.
   */
 class PostMHLShortcutSpec extends AnyFunSuite {
 
   test("PostMHL shortcut arrays equal a rebuild after each batch (deferred overlay slots)") {
     val g = GridGen.grid(6, 30, seed = 83)
     val original = g.undirectedEdges
-    // A plain updater on the same decomposition, driven like U-Stage 2,
-    // shows that the batches really defer overlay slots.
+    // A plain updater on the same decomposition shows that the batches
+    // really change overlay owners through the hand-off.
     val mirror = new ShortcutUpdater(MDE.decompose(g.n, original))
     val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 4)
     assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
@@ -31,15 +31,15 @@ class PostMHLShortcutSpec extends AnyFunSuite {
     val revert = first.map { case (u, v, _) => (u, v, g.weight(u, v)) }
     val batches = Seq(first, repeated, Datasets.updateBatch(g, 50, seed = 3003), revert)
 
-    var deferred = 0
+    var handedOff = 0
     for ((batch, b) <- batches.zipWithIndex) {
-      val seeds = mirror.seed(batch)
-      val byPart = seeds.groupBy(e => p.partOf(mirror.td.order((e >>> 20).toInt)))
-      val handOff = byPart.keys.filter(_ != -1).toSeq.flatMap(i =>
-        mirror.process(byPart(i), o => p.partOf(o) == i).deferredSlots)
-      deferred += handOff.length
-      mirror.process(byPart.getOrElse(-1, IndexedSeq.empty), o => p.partOf(o) == -1,
-        rescanSeeds = handOff.distinct.toIndexedSeq)
+      val changed = mirror.applyInputChanges(batch).affected
+      val seeded = batch.map { case (u, v, _) => mirror.td.pairOwner(u, v) }.toSet
+      val partChanged = changed.filter(p.partOf(_) != -1)
+      // overlay owners that changed without a seed of their own, below a
+      // changed partition owner whose bag holds them
+      handedOff += changed.count(o => p.partOf(o) == -1 && !seeded(o) &&
+        partChanged.exists(w => mirror.td.bag(w).contains(o)))
 
       p.applyUpdateBatch(batch)
       val fresh = MDE.decompose(g.n, g.undirectedEdges,
@@ -50,7 +50,7 @@ class PostMHLShortcutSpec extends AnyFunSuite {
         assert(mirror.td.sc(v).sameElements(p.td.sc(v)), s"batch $b: mirror mismatch at $v")
       }
     }
-    assert(deferred > 0, "no batch deferred an overlay slot")
+    assert(handedOff > 0, "no batch changed an unseeded overlay owner from a partition owner")
     assert(original.forall { case (u, v, w) => !first.exists(e => e._1 == u && e._2 == v) ||
       g.weight(u, v) == w }, "revert batch did not restore the first batch's edges")
   }

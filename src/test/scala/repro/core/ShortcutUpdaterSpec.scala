@@ -128,4 +128,45 @@ class ShortcutUpdaterSpec extends AnyFunSuite {
         s"round $r")
     }
   }
+
+  test("affected is exactly the owners whose shortcut row changed") {
+    for ((g, seed) <- Seq((GridGen.grid(6, 9, seed = 51), 510L),
+                          (GridGen.randomConnected(60, 40, seed = 52), 520L))) {
+      val td = MDE.decompose(g.n, g.undirectedEdges)
+      val upd = new ShortcutUpdater(td)
+      var revert: Seq[(Int, Int, Int)] = Nil
+      for (r <- 0 until 4) {
+        // round 2 restores the edges round 0 changed
+        val batch = if (r == 2) revert else Datasets.updateBatch(g, 12, seed + r)
+        if (r == 0) revert = batch.map { case (u, v, _) => (u, v, g.weight(u, v)) }
+        val before = td.sc.map(_.clone())
+        Datasets.applyBatch(g, batch)
+        val affected = upd.applyInputChanges(batch).affected
+        val changed = (0 until g.n).filter(v => !td.sc(v).sameElements(before(v)))
+        assert(changed.nonEmpty, s"n=${g.n} round $r changed no shortcut")
+        assert(affected.toSeq.sorted == changed, s"n=${g.n} round $r")
+      }
+    }
+  }
+
+  test("phase-1 changes are reported for boundary slots whose shortcut did not change") {
+    val g = GridGen.grid(6, 10, seed = 53)
+    val boundary = new Array[Boolean](g.n)
+    val rnd = new Random(54)
+    (1 to 12).foreach(_ => boundary(rnd.nextInt(g.n)) = true)
+    val td = MDE.decompose(g.n, g.undirectedEdges, forcedLast = boundary)
+    val upd = new ShortcutUpdater(td, boundary)
+    var phase1Only = 0
+    for (r <- 1 to 3) {
+      val batch = Datasets.updateBatch(g, 15, seed = 70 + r)
+      val before = td.sc.map(_.clone())
+      Datasets.applyBatch(g, batch)
+      val res = upd.applyInputChanges(batch)
+      phase1Only += res.overlayChanges.count { case (o, b, _) =>
+        val i = td.slotOf(o, b)
+        td.sc(o)(i) == before(o)(i)
+      }
+    }
+    assert(phase1Only > 0, "no overlay change came from a slot whose shortcut stayed put")
+  }
 }
