@@ -2,94 +2,80 @@ package repro.core.h2h
 
 import repro.core.td.TD
 
-/** Upward shortcut graph for CH-style queries.
+/** Tree view of a contraction hierarchy for [[CHQuery]].
   *
-  * Per vertex, one or more (targets, weights) segments whose arrays alias
-  * the owning [[TD]]'s `bag`/`sc` arrays, so weight maintenance done by
-  * `ShortcutUpdater` is visible here without copying. PMHL's PCH query
-  * (N-CH-P [35]) unions the partition indexes' and the overlay index's
-  * shortcut arrays by giving boundary vertices two segments.
+  * Per vertex `v`: its `parent` (-1 for a root) and `depth` in a forest in
+  * which every member of `bag(v)` is a proper ancestor of `v`, and `sc(v)`,
+  * the upward shortcut weights aligned with `bag(v)`. The rows alias the
+  * owning [[TD]]s' `bag`/`sc` arrays, so weight maintenance done by
+  * `ShortcutUpdater` is visible here without copying. For one TD the view
+  * is the TD itself; PMHL's PCH stage (N-CH-P [35]) builds it over the
+  * cross-boundary tree T*.
   */
 final class UpwardGraph(
-    val n: Int,
-    val rankOf: Array[Int],
-    val nbrs: Array[Array[Array[Int]]],
-    val wts: Array[Array[Array[Int]]],
+    val parent: Array[Int],
+    val depth: Array[Int],
+    val bag: Array[Array[Int]],
+    val sc: Array[Array[Int]],
 )
 
 object UpwardGraph {
   /** Plain CH view of a single TD. */
-  def fromTD(td: TD): UpwardGraph =
-    new UpwardGraph(
-      td.n,
-      td.rank,
-      Array.tabulate(td.n)(v => Array(td.bag(v))),
-      Array.tabulate(td.n)(v => Array(td.sc(v))),
-    )
+  def fromTD(td: TD): UpwardGraph = new UpwardGraph(td.parent, td.depth, td.bag, td.sc)
 }
 
-/** CH query [14]: bidirectional Dijkstra that only relaxes edges toward
-  * higher-ranked vertices. This is the query procedure of DCH, of MHL's
-  * Q-Stage 2, and (over the union upward graph) of PMHL/PostMHL's PCH
-  * stage. Instances keep reusable scratch arrays — NOT thread-safe.
+/** CH query [14] as the elimination-tree walk of Customizable CH (Dibbelt,
+  * Strasser, Wagner, ACM JEA 2016). This is the query procedure of DCH, of
+  * MHL's Q-Stage 2 and of PMHL/PostMHL's PCH stage.
+  *
+  * Every upward shortcut of `v` leads to a bag member, an ancestor of `v`.
+  * So the vertices an upward search from `s` reaches are ancestors of `s`,
+  * and visiting them from `s` upward scans each one after every vertex that
+  * can lower its distance: no heap is needed, and the distances live in an
+  * array indexed by depth. The top vertex of a shortest up-down path is a
+  * common ancestor of `s` and `t`, that is an ancestor of their LCA, so the
+  * answer is the minimum of `ds(j) + dt(j)` over the depths `j` of the LCA
+  * and above.
+  *
+  * The scratch is two arrays of the endpoints' depths, owned by each call,
+  * so one instance may serve any number of threads.
   */
 final class CHQuery(g: UpwardGraph) {
   import TD.Inf
 
-  private val dF = Array.fill(g.n)(Inf)
-  private val dB = Array.fill(g.n)(Inf)
-  private val verF = new Array[Int](g.n)
-  private val verB = new Array[Int](g.n)
-  private var epoch = 0
-
-  /** Point-to-point upper-bound distance; exact when the upward graph is a
-    * full contraction hierarchy of the underlying graph.
+  /** Shortest distance; exact when the view is a full contraction
+    * hierarchy of the underlying graph. `Inf` if `s` and `t` lie in
+    * different trees.
     */
   def query(s: Int, t: Int): Int = {
     if (s == t) return 0
-    epoch += 1
+    val ds = upward(s); val dt = upward(t)
+    var a = s; var b = t
+    while (g.depth(a) > g.depth(b)) a = g.parent(a)
+    while (g.depth(b) > g.depth(a)) b = g.parent(b)
+    while (a != b) { a = g.parent(a); b = g.parent(b) }
+    if (a == -1) return Inf
     var best = Inf
-    val pqF = new java.util.PriorityQueue[java.lang.Long]()
-    val pqB = new java.util.PriorityQueue[java.lang.Long]()
-    dF(s) = 0; verF(s) = epoch; pqF.add(s.toLong)
-    dB(t) = 0; verB(t) = epoch; pqB.add(t.toLong)
-
-    def settleUp(pq: java.util.PriorityQueue[java.lang.Long],
-                 dist: Array[Int], ver: Array[Int],
-                 othDist: Array[Int], othVer: Array[Int]): Unit = {
-      val top = pq.poll().longValue()
-      val d = (top >>> 32).toInt; val u = top.toInt
-      if (ver(u) != epoch || d != dist(u)) return
-      if (othVer(u) == epoch && d + othDist(u) < best) best = d + othDist(u)
-      val segs = g.nbrs(u); val wsegs = g.wts(u)
-      var si = 0
-      while (si < segs.length) {
-        val ns = segs(si); val ws = wsegs(si)
-        var i = 0
-        while (i < ns.length) {
-          val v = ns(i)
-          if (g.rankOf(v) > g.rankOf(u)) {
-            val nd = d + ws(i)
-            if (nd < (if (ver(v) == epoch) dist(v) else Inf)) {
-              dist(v) = nd; ver(v) = epoch
-              pq.add((nd.toLong << 32) | v.toLong)
-            }
-          }
-          i += 1
-        }
-        si += 1
-      }
-    }
-
-    var goF = true; var goB = true
-    while (goF || goB) {
-      goF = !pqF.isEmpty && (pqF.peek().longValue() >>> 32).toInt < best
-      if (goF) settleUp(pqF, dF, verF, dB, verB)
-      goB = !pqB.isEmpty && (pqB.peek().longValue() >>> 32).toInt < best
-      if (goB) settleUp(pqB, dB, verB, dF, verF)
-      goF = !pqF.isEmpty && (pqF.peek().longValue() >>> 32).toInt < best
-      goB = !pqB.isEmpty && (pqB.peek().longValue() >>> 32).toInt < best
-    }
+    var j = g.depth(a)
+    while (j >= 0) { val c = ds(j) + dt(j); if (c < best) best = c; j -= 1 }
     best
+  }
+
+  /** Upward distances from `s` to its ancestors, indexed by depth. */
+  private def upward(s: Int): Array[Int] = {
+    val d = new Array[Int](g.depth(s) + 1)
+    java.util.Arrays.fill(d, Inf); d(g.depth(s)) = 0
+    var v = s
+    while (v != -1) {
+      val dv = d(g.depth(v)); val bg = g.bag(v); val w = g.sc(v)
+      var i = 0
+      while (i < bg.length) {
+        val x = g.depth(bg(i)); val c = dv + w(i)
+        if (c < d(x)) d(x) = c
+        i += 1
+      }
+      v = g.parent(v)
+    }
+    d
   }
 }

@@ -11,7 +11,8 @@ import scala.collection.mutable
   * partition trees: overlay vertices keep their overlay parents; a
   * non-boundary vertex keeps its partition-tree parent (which is either
   * another non-boundary vertex or a boundary vertex of its partition —
-  * the attach point). Labels:
+  * the attach point). [[PMHL]] builds T* (`parentStar`, `depthStar`) once,
+  * because its PCH stage walks it too, and passes it in. Labels:
   *
   *  - overlay vertices inherit the overlay index (read through to
   *    `labOv.dis`, so U-Stage 3 keeps them current for free);
@@ -36,14 +37,13 @@ final class CrossBoundary(
     tdOv: TD,
     labOv: H2HIndex,
     dMat: Array[Array[Array[Int]]],
+    val parentStar: Array[Int],
+    val depthStar: Array[Int],
 ) {
   import TD.Inf
 
   val k: Int = tdPart.length
 
-  val parentStar: Array[Int] = Array.tabulate(n) { v =>
-    if (boundary(v)) tdOv.parent(v) else tdPart(part(v)).parent(v)
-  }
   val childrenStar: Array[Array[Int]] = {
     val buf = Array.fill(n)(new mutable.ArrayBuffer[Int](2))
     var v = 0
@@ -51,16 +51,6 @@ final class CrossBoundary(
     buf.map(_.toArray)
   }
   val rootsStar: Array[Int] = (0 until n).filter(parentStar(_) == -1).toArray
-  val depthStar: Array[Int] = {
-    val d = new Array[Int](n)
-    val stack = new java.util.ArrayDeque[Integer]()
-    rootsStar.foreach { r => d(r) = 0; stack.push(r) }
-    while (!stack.isEmpty) {
-      val v = stack.pop().intValue()
-      childrenStar(v).foreach { c => d(c) = d(v) + 1; stack.push(c) }
-    }
-    d
-  }
   /** T* height (max depth + 1): the length of a root-to-leaf path. */
   private val heightStar: Int = if (n == 0) 0 else depthStar.max + 1
   val lcaStar = new TreeLca(n, parentStar, childrenStar, depthStar, rootsStar)

@@ -31,6 +31,16 @@ final case class StageTimes(t: Array[Double]) {
   * Query stages (Figure 7): 1 BiDijkstra → 2 PCH → 3 no-boundary →
   * 4 post-boundary → 5 cross-boundary (+post-boundary for same-partition).
   *
+  * The cross-boundary tree T* (`parentStar`/`depthStar`) is built once, for
+  * every `stages`: boundary vertices keep their overlay parents, the others
+  * their partition parents. PCH walks it ([[CHQuery]]) over the overlay
+  * rows of boundary vertices and the partition rows of the others. The
+  * partitions' boundary rows are not needed: a boundary vertex's partition
+  * bag is a subset of its overlay bag (the overlay eliminates the same
+  * boundary order over a superset of the edges), and in each shared slot
+  * the overlay shortcut is at most the partition one (the overlay input
+  * holds the partition's phase-1 values).
+  *
   * `stages` < 5 builds and maintains only the first `stages` of them; the
   * PSP baselines of [35] are this index stopped early: N-CH-P is
   * `stages = 2` (shortcut arrays only, no labels) and P-TD-P is
@@ -62,6 +72,9 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   var labPost: Array[H2HIndex] = _
   /** All-pair global boundary distances per partition: D(i)(a)(b). */
   var dMat: Array[Array[Array[Int]]] = _
+  /** T*: parent (-1 for a root) and depth of every vertex. */
+  var parentStar: Array[Int] = _
+  var depthStar: Array[Int] = _
   var cross: CrossBoundary = _
   private var pchQuery: CHQuery = _
 
@@ -119,13 +132,21 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         }), threads)
       }
     }
-    // Step 6: cross-boundary aggregation.
+    // Step 6: T* and cross-boundary aggregation.
     timed {
+      parentStar = Array.tabulate(n)(v => tdOf(v).parent(v))
+      // The overlay chain above a boundary vertex is its T* chain; a partition
+      // TD lists a vertex's T* parent, of higher rank, before the vertex.
+      depthStar = Array.tabulate(n)(v => if (boundary(v)) tdOv.depth(v) else -1)
+      for (i <- 0 until k; v <- tdPart(i).order.reverseIterator if !boundary(v) && part(v) == i)
+        depthStar(v) = if (parentStar(v) == -1) 0 else depthStar(parentStar(v)) + 1
       if (stages == 5) {
-        cross = new CrossBoundary(n, boundary, part, partBoundary, tdPart, tdOv, labOv, dMat)
+        cross = new CrossBoundary(n, boundary, part, partBoundary, tdPart, tdOv, labOv, dMat,
+          parentStar, depthStar)
         cross.buildAll(threads)
       }
-      pchQuery = new CHQuery(pchUpwardGraph())
+      pchQuery = new CHQuery(new UpwardGraph(parentStar, depthStar,
+        Array.tabulate(n)(v => tdOf(v).bag(v)), Array.tabulate(n)(v => tdOf(v).sc(v))))
     }
     times.toArray
   }
@@ -139,29 +160,8 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     intraEdges(i) ++ clique
   }
 
-  /** Union upward graph for the PCH query (N-CH-P [35]): partition
-    * shortcut arrays plus overlay shortcut arrays, boundary-first rank.
-    */
-  private def pchUpwardGraph(): UpwardGraph = {
-    val rank = new Array[Int](n)
-    val nbrs = new Array[Array[Array[Int]]](n)
-    val wts = new Array[Array[Array[Int]]](n)
-    var v = 0
-    while (v < n) {
-      val i = part(v)
-      if (boundary(v)) {
-        rank(v) = k * n + tdOv.rank(v)
-        nbrs(v) = Array(tdPart(i).bag(v), tdOv.bag(v))
-        wts(v) = Array(tdPart(i).sc(v), tdOv.sc(v))
-      } else {
-        rank(v) = i * n + tdPart(i).rank(v)
-        nbrs(v) = Array(tdPart(i).bag(v))
-        wts(v) = Array(tdPart(i).sc(v))
-      }
-      v += 1
-    }
-    new UpwardGraph(n, rank, nbrs, wts)
-  }
+  /** The TD that holds v's T* parent and PCH rows. */
+  private def tdOf(v: Int): TD = if (boundary(v)) tdOv else tdPart(part(v))
 
   // ------------------------------------------------------------------
   // Queries (stages 1-5)
@@ -170,7 +170,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   /** Q-Stage 1. */
   def queryBiDijkstra(s: Int, t: Int): Int = BiDijkstra.query(g, s, t)
 
-  /** Q-Stage 2: partitioned CH search over the union shortcut graph. */
+  /** Q-Stage 2: partitioned CH query, a walk up T*. */
   def queryPCH(s: Int, t: Int): Int = pchQuery.query(s, t)
 
   private def distVec(lab: H2HIndex, s: Int, bs: Array[Int]): Array[Int] =

@@ -56,8 +56,9 @@ object Datasets {
   def defaultUpdateVolume(spec: DatasetSpec): Int = math.max(10, spec.nVertices / 50)
 
   /** One update batch following §VII: `count` distinct random edges; each
-    * halves (min 1) or doubles its weight with equal probability.
-    * Returns (u, v, newWeight) triples; deterministic in (graph, seed).
+    * halves (min 1) or doubles (max `g.maxWeight`) its weight with equal
+    * probability. Returns (u, v, newWeight) triples; deterministic in
+    * (graph, seed).
     */
   def updateBatch(g: RoadGraph, count: Int, seed: Long): IndexedSeq[(Int, Int, Int)] = {
     val rnd = new Random(seed)
@@ -65,7 +66,7 @@ object Datasets {
     val picked = rnd.shuffle(edges.indices.toVector).take(math.min(count, edges.size))
     picked.map { i =>
       val (u, v, w) = edges(i)
-      val nw = if (rnd.nextBoolean()) math.max(1, w / 2) else w * 2
+      val nw = if (rnd.nextBoolean()) math.max(1, w / 2) else math.min(w.toLong * 2, g.maxWeight).toInt
       (u, v, nw)
     }
   }

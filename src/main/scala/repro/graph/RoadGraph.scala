@@ -43,13 +43,17 @@ final class RoadGraph(
     if (i < 0) -1 else w(i)
   }
 
+  /** The largest weight `setWeight` accepts: no simple path (at most
+    * n - 1 edges) of such weights sums to `TD.Inf`.
+    */
+  val maxWeight: Int = if (n <= 1) Int.MaxValue else (TD.Inf - 1) / (n - 1)
+
   /** Set the weight of undirected edge (u, v) in both arc directions. The
-    * weight must be positive and so small that no simple path (at most
-    * n - 1 edges) sums to `TD.Inf`.
+    * weight must be positive and at most `maxWeight`.
     */
   def setWeight(u: Int, v: Int, nw: Int): Unit = {
     require(nw > 0, "non-positive weight")
-    require((n - 1).toLong * nw < TD.Inf,
+    require(nw <= maxWeight,
       s"weight $nw on edge ($u,$v): a path of ${n - 1} such edges would reach Inf")
     val i = arcIndex(u, v); val j = arcIndex(v, u)
     require(i >= 0 && j >= 0, s"edge ($u,$v) not present")

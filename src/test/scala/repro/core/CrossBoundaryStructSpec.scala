@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.GridGen
+import repro.graph.{Datasets, GridGen}
 import repro.core.pmhl.PMHL
 import repro.core.sp.Dijkstra
 import scala.util.Random
@@ -81,6 +81,38 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
       }
     }
     assert(checked > 0)
+  }
+
+  for (stages <- Seq(2, 5)) {
+    test(s"T* carries the PCH walk (stages = $stages): partition rows of boundary vertices are dominated, bags are T* ancestors") {
+      val g = GridGen.grid(6, 22, seed = 601)
+      val p = new PMHL(g, 4, threads = 2, stages = stages)
+      p.build()
+      def isStarAncestor(a: Int, v: Int): Boolean = {
+        var x = v
+        while (x != -1 && p.depthStar(x) > p.depthStar(a)) x = p.parentStar(x)
+        x == a
+      }
+      def check(ctx: String): Unit =
+        for (v <- 0 until g.n) {
+          val tp = p.tdPart(p.part(v))
+          if (p.boundary(v)) {
+            for ((x, i) <- tp.bag(v).zipWithIndex) {
+              val j = p.tdOv.slotOf(v, x)
+              assert(j >= 0, s"$ctx: partition bag member $x of boundary $v not in its overlay bag")
+              assert(p.tdOv.sc(v)(j) <= tp.sc(v)(i), s"$ctx: overlay sc($v,$x) above partition sc")
+            }
+          } else {
+            for (x <- tp.bag(v))
+              assert(isStarAncestor(x, v), s"$ctx: bag member $x of $v is not a T* ancestor")
+          }
+        }
+      check("build")
+      for (r <- 1 to 3) {
+        p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 610 + r))
+        check(s"batch $r")
+      }
+    }
   }
 
   test("overlay vertices read through to the live overlay labels") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.GridGen
+import repro.graph.{Datasets, GridGen, RoadGraph}
 import repro.core.td.{MDE, ShortcutUpdater, TD}
 
 /** Weight updates obey the same contract as graph construction: every
@@ -28,6 +28,22 @@ class InputContractSpec extends AnyFunSuite {
     val c = g.copyWeights()
     c.setWeight(u, v, cap)
     assert(c.weight(u, v) == cap && c.weight(v, u) == cap)
+  }
+
+  test("Datasets.updateBatch caps a doubled weight at the largest weight setWeight accepts") {
+    val n = 6
+    val cap = (TD.Inf - 1) / (n - 1)
+    val g = RoadGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1, cap)))
+    var doubled = 0
+    for (seed <- 0L until 8L) {
+      val batch = Datasets.updateBatch(g, n - 1, seed)
+      for ((_, _, w) <- batch) {
+        assert(w > 0 && w <= cap, s"seed $seed: weight $w above the cap $cap")
+        if (w != cap / 2) doubled += 1
+      }
+      Datasets.applyBatch(g.copyWeights(), batch)
+    }
+    assert(doubled > 0, "no batch doubled an edge")
   }
 
   test("ShortcutUpdater.seed rejects zero and negative weights") {

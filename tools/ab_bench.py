@@ -4,6 +4,7 @@
     python3 tools/ab_bench.py PARENT CHANGE --seeds 401-410
     python3 tools/ab_bench.py HEAD~1 HEAD --seeds 401,402,403 --workloads postmhl-ec --out ab.json
     python3 tools/ab_bench.py HEAD WORKTREE --seeds 401-410
+    python3 tools/ab_bench.py HEAD WORKTREE --seeds 401-410 --layers core.h2h.ch_p50_us,interval_query_us
 
 Each revision is unpacked with `git archive` into its own temporary
 directory (under $TMPDIR), so neither the working tree nor any ref of the
@@ -33,6 +34,12 @@ The "no regression" column applies the metric's `bound` from `BENCHMARK.json`
     unresolved  the parent's quartile spread exceeds bound x parent median and
                 not every change run beats every parent run, so the runs spread
                 too widely to tell.
+
+With `--layers a,b,...` (names from the `per_layer` list of `BENCHMARK.json`)
+each seed and workload also gets one traced run (`--trace 1`) per side, in the
+same alternating order as its untraced pair, and a second table prints each
+side's median of the named per-layer metrics over the traced pairs. These rows
+only report where time moved: they never gate a change and never claim a gain.
 """
 import argparse
 import json
@@ -81,11 +88,11 @@ def unpack(rev, into):
         sys.exit("ab_bench: git archive %s failed" % rev)
 
 
-def run_once(side_dir, workload, seed, seconds):
+def run_once(side_dir, workload, seed, seconds, trace):
     """One benchmark run; returns its result object, or None if it failed."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(side_dir, ".bench_build"))
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", trace]
     res = subprocess.run(cmd, cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                          text=True)
     lines = res.stdout.strip().splitlines()
@@ -148,6 +155,8 @@ def main():
     ap.add_argument("--workloads", help="comma-separated workloads (default: all in BENCHMARK.json)")
     ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--out", help="also write every run's metrics to this JSON file")
+    ap.add_argument("--layers", help="comma-separated per-layer metrics to report from one traced "
+                                     "run per side and seed (never gated, never claimed)")
     a = ap.parse_args()
 
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
@@ -160,29 +169,42 @@ def main():
         workloads = a.workloads.split(",") if a.workloads else [w["name"] for w in bench["workloads"]]
         seconds = a.seconds if a.seconds is not None else bench["run_seconds"]
         seeds = parse_seeds(a.seeds)
+        layers = a.layers.split(",") if a.layers else []
+        unknown = sorted(set(layers) - {m["name"] for m in bench["per_layer"]})
+        if unknown:
+            sys.exit("ab_bench: not per-layer metrics of BENCHMARK.json: %s" % ", ".join(unknown))
+
+        def pair(w, seed, order, trace):
+            got = {}
+            for side in order:
+                log("%s seed %d: %s%s" % (w, seed, side, " (traced)" if trace == "1" else ""))
+                res = run_once(sides[side], w, seed, seconds, trace)
+                if res is not None:
+                    got[side] = {n: v["value"] for n, v in res["metrics"].items()}
+            return {"seed": seed, "first": order[0], **got} if len(got) == 2 else None
 
         runs = {w: [] for w in workloads}
+        traced = {w: [] for w in workloads}
         k = 0
         for seed in seeds:
             for w in workloads:
                 order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
                 k += 1
-                got = {}
-                for side in order:
-                    log("%s seed %d: %s" % (w, seed, side))
-                    res = run_once(sides[side], w, seed, seconds)
-                    if res is not None:
-                        got[side] = {n: v["value"] for n, v in res["metrics"].items()}
-                if len(got) == 2:
-                    runs[w].append({"seed": seed, "first": order[0], **got})
+                got = pair(w, seed, order, "0")
+                if got is not None:
+                    runs[w].append(got)
                     log("  " + "  ".join("%s %s/%s" % (m["name"], fmt(got["parent"][m["name"]]),
                                                         fmt(got["change"][m["name"]]))
                                          for m in bench["end_to_end"] if m["name"] in got["parent"]))
+                if layers:
+                    got = pair(w, seed, order, "1")
+                    if got is not None:
+                        traced[w].append(got)
 
         if a.out:
             with open(a.out, "w") as f:
-                json.dump({"parent": a.parent, "change": a.change, "seconds": seconds, "runs": runs}, f,
-                          indent=1)
+                json.dump({"parent": a.parent, "change": a.change, "seconds": seconds, "runs": runs,
+                           "traced": traced}, f, indent=1)
         print("parent %s, change %s, --seconds %g, seeds %s" % (a.parent, a.change, seconds, a.seeds))
         print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change wins "
               "| claim holds | no regression |")
@@ -193,6 +215,19 @@ def main():
                 print("| %s | %s | %s [%s, %s] | %s [%s, %s] | %d/%d | %s | %s |" % (
                     w, name, fmt(pm), fmt(pq[0]), fmt(pq[1]), fmt(cm), fmt(cq[0]), fmt(cq[1]), wins, n,
                     "yes" if holds else "no", verdict))
+        if layers:
+            print()
+            print("Per layer, one traced run per side and seed (reported only: not gated, not claimed)")
+            print("| workload | metric | parent median | change median | traced pairs |")
+            print("|---|---|---|---|---|")
+            for w in workloads:
+                for name in layers:
+                    got = [(r["parent"][name], r["change"][name]) for r in traced[w]
+                           if name in r["parent"] and name in r["change"]]
+                    if got:
+                        print("| %s | %s | %s | %s | %d |" % (
+                            w, name, fmt(statistics.median(p for p, _ in got)),
+                            fmt(statistics.median(c for _, c in got)), len(got)))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
