@@ -44,13 +44,7 @@ final class CrossBoundary(
 
   val k: Int = tdPart.length
 
-  val childrenStar: Array[Array[Int]] = {
-    val buf = Array.fill(n)(new mutable.ArrayBuffer[Int](2))
-    var v = 0
-    while (v < n) { if (parentStar(v) != -1) buf(parentStar(v)) += v; v += 1 }
-    buf.map(_.toArray)
-  }
-  val rootsStar: Array[Int] = (0 until n).filter(parentStar(_) == -1).toArray
+  val (childrenStar: Array[Array[Int]], rootsStar: Array[Int]) = TD.forest(parentStar)
   /** T* height (max depth + 1): the length of a root-to-leaf path. */
   private val heightStar: Int = if (n == 0) 0 else depthStar.max + 1
   val lcaStar = new TreeLca(n, parentStar, childrenStar, depthStar, rootsStar)
@@ -220,9 +214,10 @@ final class CrossBoundary(
         i += 1
       }
     } else {
-      // Same-subtree case: non-boundary bag members are T*-ancestors of
-      // both endpoints (use depth positions); boundary bag members are not
-      // on the T* path — go through the boundary arrays instead.
+      // Same-subtree case: every member of the LCA's partition bag is a
+      // T*-ancestor of both endpoints. Non-boundary members are read at
+      // their depth positions; boundary members through the boundary
+      // arrays, which hold the same distances.
       best = BoundaryLabels.hubMin(tdPart(part(a)).bag(a), slots(a), depthStar, ds, dt,
         disB(s), disB(t), best)
     }

@@ -57,8 +57,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   val boundary: Array[Boolean] = pr.boundary
   val partBoundary: Array[Array[Int]] = Array.tabulate(k)(pr.boundaryOf)
 
-  private val intraEdges: Array[IndexedSeq[(Int, Int, Int)]] =
-    Array.tabulate(k)(SpatialPartitioner.intraEdges(g, pr, _))
+  private val edges = SpatialPartitioner.splitEdges(g, pr)
 
   // Index state (filled by build()).
   var tdPart: Array[TD] = _
@@ -100,7 +99,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     // Step 1+2 (optimized, Theorem 2): contract non-boundary per partition
     // to obtain the overlay input directly from the partition MDE.
     var ovEdges: Seq[(Int, Int, Int)] = null
-    timed { ovEdges = SpatialPartitioner.overlayEdges(g, pr, intraEdges, threads) }
+    timed { ovEdges = SpatialPartitioner.overlayEdges(g, pr, edges, threads) }
     // Step 3: overlay graph + overlay MHL.
     timed {
       tdOv = MDE.decompose(n, ovEdges)
@@ -112,7 +111,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       tdPart = new Array[TD](k); updPart = new Array[ShortcutUpdater](k)
       if (labels) labPart = new Array[H2HIndex](k)
       Parallel.run((0 until k).map(i => () => {
-        tdPart(i) = MDE.decompose(n, intraEdges(i), forcedOf(i), tdOv.rank)
+        tdPart(i) = MDE.decompose(n, edges.intra(i), forcedOf(i), tdOv.rank)
         updPart(i) = new ShortcutUpdater(tdPart(i), boundary)
         if (labels) { labPart(i) = new H2HIndex(tdPart(i)); labPart(i).build(); tdPart(i).buildLca() }
       }), threads)
@@ -157,7 +156,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       a <- bs.indices; b <- (a + 1) until bs.length
       if dMat(i)(a)(b) < Inf
     } yield (bs(a), bs(b), dMat(i)(a)(b))
-    intraEdges(i) ++ clique
+    edges.intra(i) ++ clique
   }
 
   /** The TD that holds v's T* parent and PCH rows. */

@@ -1,6 +1,6 @@
 package repro.core.td
 
-import scala.collection.mutable
+import java.util.Arrays
 
 /** Minimum Degree Elimination [53], [54] — builds the tree decomposition
   * (and, per Lemma 4, the CH shortcut index) of a weighted graph.
@@ -10,6 +10,13 @@ import scala.collection.mutable
   * all others, either by min-degree among themselves or in an externally
   * fixed order (`forcedRank`) so partition boundary orders can be made
   * consistent with the overlay order (Figure 5, condition 2).
+  *
+  * Nothing is hashed or boxed, as in the flat-array minimum-degree
+  * orderings of George & Liu (SIAM Review 1989): the input is deduplicated
+  * into per-vertex rows of (neighbour, min weight), elimination grows `Int`
+  * rows beside a degree array and picks from a primitive lazy min-heap, and
+  * a position scratch array stands in for every pair lookup. All scratch
+  * belongs to one call, so PMHL's partitions decompose concurrently.
   */
 object MDE {
   import TD.Inf
@@ -18,77 +25,148 @@ object MDE {
   /** Bags must stay below this size: slot indices are packed in 16 bits. */
   private val MaxBag = 1 << 16
 
-  private def pairKey(a: Int, b: Int): Long =
-    if (a < b) (a.toLong << 32) | b.toLong else (b.toLong << 32) | a.toLong
-
-  /** Deduplicate undirected edges keeping the min weight. */
-  private def inputMap(edges: Iterable[(Int, Int, Int)]): mutable.LongMap[Int] = {
-    val m = new mutable.LongMap[Int]()
-    edges.foreach { case (u, v, w) =>
-      require(u != v, "self loop")
-      val k = pairKey(u, v)
-      if (!m.contains(k) || w < m(k)) m(k) = w
+  /** Adjacency rows: v's neighbours are `nbr(v)(0 until deg(v))`, with their
+    * weights at the same positions of `wt(v)`. A full row doubles when
+    * appended to; an edgeless vertex holds the shared empty array.
+    */
+  private final class Rows(val nbr: Array[Array[Int]], val wt: Array[Array[Int]], val deg: Array[Int]) {
+    def append(a: Int, b: Int, w: Int): Unit = {
+      val d = deg(a)
+      if (d == nbr(a).length) {
+        val cap = math.max(4, 2 * d)
+        nbr(a) = Arrays.copyOf(nbr(a), cap); wt(a) = Arrays.copyOf(wt(a), cap)
+      }
+      nbr(a)(d) = b; wt(a)(d) = w; deg(a) = d + 1
     }
-    m
+
+    def copy(): Rows = new Rows(trimmed(nbr), trimmed(wt), deg.clone())
+
+    private def trimmed(rows: Array[Array[Int]]): Array[Array[Int]] =
+      Array.tabulate(rows.length)(v => if (deg(v) == 0) Array.emptyIntArray else Arrays.copyOf(rows(v), deg(v)))
+  }
+
+  /** Deduplicate undirected edges into rows keeping the min weight: a
+    * counting pass, a fill pass, and a dedupe pass over one position
+    * scratch array.
+    */
+  private def inputRows(n: Int, edges: Iterable[(Int, Int, Int)]): Rows = {
+    val deg = new Array[Int](n)
+    edges.foreach { case (u, v, _) =>
+      require(u != v, "self loop")
+      deg(u) += 1; deg(v) += 1
+    }
+    def alloc(): Array[Array[Int]] =
+      Array.tabulate(n)(v => if (deg(v) == 0) Array.emptyIntArray else new Array[Int](deg(v)))
+    val nbr = alloc(); val wt = alloc()
+    Arrays.fill(deg, 0)
+    edges.foreach { case (u, v, w) =>
+      nbr(u)(deg(u)) = v; wt(u)(deg(u)) = w; deg(u) += 1
+      nbr(v)(deg(v)) = u; wt(v)(deg(v)) = w; deg(v) += 1
+    }
+    val pos = Array.fill(n)(-1)
+    var v = 0
+    while (v < n) {
+      val nv = nbr(v); val wv = wt(v)
+      var d = 0; var i = 0
+      while (i < deg(v)) {
+        val p = pos(nv(i))
+        if (p < 0) { pos(nv(i)) = d; nv(d) = nv(i); wv(d) = wv(i); d += 1 }
+        else if (wv(i) < wv(p)) wv(p) = wv(i)
+        i += 1
+      }
+      deg(v) = d
+      i = 0
+      while (i < d) { pos(nv(i)) = -1; i += 1 }
+      v += 1
+    }
+    new Rows(nbr, wt, deg)
+  }
+
+  /** Binary min-heap of `Long` keys. */
+  private final class LongHeap(capacity: Int) {
+    private var a = new Array[Long](math.max(capacity, 16))
+    private var size = 0
+
+    def push(k: Long): Unit = {
+      if (size == a.length) a = Arrays.copyOf(a, 2 * size)
+      var i = size
+      size += 1
+      while (i > 0 && a((i - 1) >> 1) > k) { a(i) = a((i - 1) >> 1); i = (i - 1) >> 1 }
+      a(i) = k
+    }
+
+    def pop(): Long = {
+      val top = a(0)
+      size -= 1
+      val last = a(size)
+      var i = 0
+      var c = 1
+      while (c < size) {
+        if (c + 1 < size && a(c + 1) < a(c)) c += 1
+        if (a(c) < last) { a(i) = a(c); i = c; c = 2 * i + 1 } else c = size
+      }
+      a(i) = last
+      top
+    }
   }
 
   /** Min-degree elimination of the vertices `elim` marks, in ascending
     * `prio(v, degree)` (ties by id, stale heap entries skipped lazily):
-    * each pick calls `visit(v, nbrs)` with v's current neighbours and
-    * shortcut weights, adds the fill-in shortcuts among them and removes v.
-    * Returns the adjacency left among the vertices not eliminated.
+    * each pick calls `visit(v, nbrs, weights)` with v's current row, adds
+    * the fill-in shortcuts among its members and removes v. `rows` is left
+    * holding the adjacency among the vertices not eliminated.
     */
-  private def eliminate(n: Int, input: mutable.LongMap[Int], elim: Int => Boolean,
-                        prio: (Int, Int) => Int)
-                       (visit: (Int, Array[(Int, Int)]) => Unit): Array[mutable.HashMap[Int, Int]] = {
-    val adj = Array.fill(n)(new mutable.HashMap[Int, Int]())
-    input.foreach { case (k, w) =>
-      val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
-      adj(u)(v) = w; adj(v)(u) = w
-    }
-    def key(v: Int): Long = (prio(v, adj(v).size).toLong << 32) | v.toLong
-    val pq = new java.util.PriorityQueue[java.lang.Long]()
+  private def eliminate(rows: Rows, elim: Int => Boolean, prio: (Int, Int) => Int)
+                       (visit: (Int, Array[Int], Array[Int]) => Unit): Unit = {
+    val nbr = rows.nbr; val wt = rows.wt; val deg = rows.deg
+    val n = deg.length
+    def key(v: Int): Long = (prio(v, deg(v)).toLong << 32) | v.toLong
+    val heap = new LongHeap(n)
     val done = new Array[Boolean](n)
+    val slot = Array.fill(n)(-1)
     var total = 0
     var v0 = 0
-    while (v0 < n) { if (elim(v0)) { pq.add(key(v0)); total += 1 }; v0 += 1 }
+    while (v0 < n) { if (elim(v0)) { heap.push(key(v0)); total += 1 }; v0 += 1 }
 
     var r = 0
     while (r < total) {
       var v = -1
       while (v == -1) {
-        val top = pq.poll().longValue()
+        val top = heap.pop()
         val cand = (top & 0xffffffffL).toInt
         if (!done(cand) && top == key(cand)) v = cand
       }
       done(v) = true
-      val nbrs = adj(v).toArray
-      visit(v, nbrs)
-      // All-pair shortcuts among the bag.
+      val d = deg(v)
+      val vn = Arrays.copyOf(nbr(v), d); val vw = Arrays.copyOf(wt(v), d)
+      nbr(v) = Array.emptyIntArray; wt(v) = Array.emptyIntArray; deg(v) = 0
+      visit(v, vn, vw)
+      // Per member a: mark a's row, swap-remove v, lower or append the
+      // shortcut to every other member, unmark, and refresh a's key lazily.
       var i = 0
-      while (i < nbrs.length) {
-        val (a, wa) = nbrs(i)
-        var j = i + 1
-        while (j < nbrs.length) {
-          val (b, wb) = nbrs(j)
-          val ns = wa + wb
-          if (ns < adj(a).getOrElse(b, Inf)) { adj(a)(b) = ns; adj(b)(a) = ns }
+      while (i < d) {
+        val a = vn(i); val wa = vw(i)
+        var p = 0
+        while (p < deg(a)) { slot(nbr(a)(p)) = p; p += 1 }
+        val pv = slot(v); val last = deg(a) - 1
+        nbr(a)(pv) = nbr(a)(last); wt(a)(pv) = wt(a)(last); slot(nbr(a)(pv)) = pv
+        slot(v) = -1; deg(a) = last
+        var j = 0
+        while (j < d) {
+          if (j != i) {
+            val b = vn(j); val ns = wa + vw(j); val s = slot(b)
+            if (s >= 0) { if (ns < wt(a)(s)) wt(a)(s) = ns }
+            else if (ns < Inf) { slot(b) = deg(a); rows.append(a, b, ns) }
+          }
           j += 1
         }
+        p = 0
+        while (p < deg(a)) { slot(nbr(a)(p)) = -1; p += 1 }
+        if (elim(a)) heap.push(key(a))
         i += 1
       }
-      // Remove v; refresh neighbor priorities lazily.
-      i = 0
-      while (i < nbrs.length) {
-        val a = nbrs(i)._1
-        adj(a).remove(v)
-        if (elim(a)) pq.add(key(a))
-        i += 1
-      }
-      adj(v).clear()
       r += 1
     }
-    adj
   }
 
   /** Full decomposition of the graph (n vertices, undirected weighted edges).
@@ -100,48 +178,60 @@ object MDE {
   def decompose(n: Int, edges: Iterable[(Int, Int, Int)],
                 forcedLast: Array[Boolean] = null,
                 forcedRank: Array[Int] = null): TD = {
-    val input = inputMap(edges)
+    val input = inputRows(n, edges)
     val forced = if (forcedLast != null) forcedLast else new Array[Boolean](n)
     val rank = new Array[Int](n)
     val order = new Array[Int](n)
     val rawBag = new Array[Array[Int]](n)
     val rawSc = new Array[Array[Int]](n)
     var r = 0
-    eliminate(n, input, _ => true, (v, deg) =>
+    eliminate(input.copy(), _ => true, (v, deg) =>
       if (!forced(v)) deg
-      else ForcedOffset + (if (forcedRank != null) forcedRank(v) else deg)) { (v, nbrs) =>
+      else ForcedOffset + (if (forcedRank != null) forcedRank(v) else deg)) { (v, nbrs, ws) =>
       rank(v) = r; order(r) = v
-      rawBag(v) = nbrs.map(_._1)
-      rawSc(v) = nbrs.map(_._2)
+      rawBag(v) = nbrs; rawSc(v) = ws
       r += 1
     }
 
-    // Sort bags by rank descending (parent = last), build base.
+    // Sort each bag by rank descending (parent = last) on packed
+    // (n - 1 - rank, position) keys; read base off v's input row.
     val bag = new Array[Array[Int]](n)
     val sc = new Array[Array[Int]](n)
     val base = new Array[Array[Int]](n)
     val parent = Array.fill(n)(-1)
+    val pos = Array.fill(n)(-1)
     var v = 0
     while (v < n) {
-      require(rawBag(v).length < MaxBag,
-        s"bag of vertex $v has ${rawBag(v).length} members; slot indices allow at most ${MaxBag - 1}")
-      val idx = rawBag(v).indices.toArray.sortBy(i => -rank(rawBag(v)(i)))
-      bag(v) = idx.map(rawBag(v))
-      sc(v) = idx.map(rawSc(v))
-      base(v) = bag(v).map { x =>
-        val k = pairKey(v, x)
-        if (input.contains(k)) input(k) else Inf
+      val rb = rawBag(v); val d = rb.length
+      require(d < MaxBag, s"bag of vertex $v has $d members; slot indices allow at most ${MaxBag - 1}")
+      if (d == 0) {
+        bag(v) = Array.emptyIntArray; sc(v) = Array.emptyIntArray; base(v) = Array.emptyIntArray
+      } else {
+        val keys = new Array[Long](d)
+        var i = 0
+        while (i < d) { keys(i) = ((n - 1 - rank(rb(i))).toLong << 32) | i; i += 1 }
+        Arrays.sort(keys)
+        val in = input.nbr(v); val inDeg = input.deg(v)
+        i = 0
+        while (i < inDeg) { pos(in(i)) = i; i += 1 }
+        val bv = new Array[Int](d); val sv = new Array[Int](d); val basev = new Array[Int](d)
+        i = 0
+        while (i < d) {
+          val k = keys(i).toInt
+          bv(i) = rb(k); sv(i) = rawSc(v)(k)
+          val p = pos(bv(i))
+          basev(i) = if (p >= 0) input.wt(v)(p) else Inf
+          i += 1
+        }
+        i = 0
+        while (i < inDeg) { pos(in(i)) = -1; i += 1 }
+        bag(v) = bv; sc(v) = sv; base(v) = basev
+        parent(v) = bv(d - 1)
       }
-      if (bag(v).nonEmpty) parent(v) = bag(v).last
       v += 1
     }
     val (sup, supSlots) = triangles(n, order, bag)
-
-    val childBuf = Array.fill(n)(new mutable.ArrayBuffer[Int](2))
-    v = 0
-    while (v < n) { if (parent(v) != -1) childBuf(parent(v)) += v; v += 1 }
-    val children = childBuf.map(_.toArray)
-    val roots = (0 until n).filter(parent(_) == -1).toArray
+    val (children, roots) = TD.forest(parent)
 
     // Depth via top-down order (parents have higher rank, so walk order desc).
     val depth = new Array[Int](n)
@@ -212,7 +302,7 @@ object MDE {
       }
       val so = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
       val po = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
-      java.util.Arrays.fill(count, 0)
+      Arrays.fill(count, 0)
       k = off(o)
       while (k < off(o + 1)) {
         val w = revW(k); val bw = bag(w); val pb = revPos(k)
@@ -241,13 +331,21 @@ object MDE {
     */
   def phase1(n: Int, edges: Iterable[(Int, Int, Int)],
              contract: Array[Boolean]): Seq[(Int, Int, Int)] = {
-    val adj = eliminate(n, inputMap(edges), contract(_), (_, deg) => deg)((_, _) => ())
-    val out = new mutable.ArrayBuffer[(Int, Int, Int)]()
+    val rows = inputRows(n, edges)
+    eliminate(rows, contract(_), (_, deg) => deg)((_, _, _) => ())
+    val out = Vector.newBuilder[(Int, Int, Int)]
     var u = 0
     while (u < n) {
-      if (!contract(u)) adj(u).foreach { case (x, w) => if (u < x && w < Inf) out += ((u, x, w)) }
+      if (!contract(u)) {
+        var i = 0
+        while (i < rows.deg(u)) {
+          val x = rows.nbr(u)(i); val w = rows.wt(u)(i)
+          if (u < x && w < Inf) out += ((u, x, w))
+          i += 1
+        }
+      }
       u += 1
     }
-    out.toSeq
+    out.result()
   }
 }

@@ -124,4 +124,27 @@ final class TD(
 object TD {
   /** "Infinite" distance guard; small enough that a few additions can't overflow Int. */
   val Inf: Int = Int.MaxValue / 4
+
+  /** The children lists and the roots of the forest `parent` describes
+    * (-1 marks a root), each in ascending vertex id.
+    */
+  def forest(parent: Array[Int]): (Array[Array[Int]], Array[Int]) = {
+    val n = parent.length
+    val count = new Array[Int](n)
+    var nRoots = 0
+    var v = 0
+    while (v < n) { if (parent(v) == -1) nRoots += 1 else count(parent(v)) += 1; v += 1 }
+    val children = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
+    val roots = new Array[Int](nRoots)
+    java.util.Arrays.fill(count, 0)
+    nRoots = 0
+    v = 0
+    while (v < n) {
+      val p = parent(v)
+      if (p == -1) { roots(nRoots) = v; nRoots += 1 }
+      else { children(p)(count(p)) = v; count(p) += 1 }
+      v += 1
+    }
+    (children, roots)
+  }
 }

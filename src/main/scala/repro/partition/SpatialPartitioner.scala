@@ -22,6 +22,11 @@ final case class PartitionResult(k: Int, part: Array[Int], boundary: Array[Boole
   def boundaryCount: Int = boundary.count(identity)
 }
 
+/** A graph's undirected edges split by a partition: `intra(i)` has both
+  * endpoints in partition i, `inter` has them in different partitions.
+  */
+final case class EdgeSplit(intra: Array[IndexedSeq[(Int, Int, Int)]], inter: IndexedSeq[(Int, Int, Int)])
+
 /** PUNCH [61] stand-in: balanced recursive coordinate bisection (DESIGN.md
   * §2). Splits the vertex set along the wider coordinate axis into
   * contiguous halves sized proportionally to the partition counts assigned
@@ -58,24 +63,37 @@ object SpatialPartitioner {
     PartitionResult(k, part, boundary)
   }
 
+  /** The undirected edges of g split by partition in one pass, each list
+    * in `g.undirectedEdges` order.
+    */
+  def splitEdges(g: RoadGraph, pr: PartitionResult): EdgeSplit = {
+    val intra = Array.fill(pr.k)(Vector.newBuilder[(Int, Int, Int)])
+    val inter = Vector.newBuilder[(Int, Int, Int)]
+    g.undirectedEdges.foreach { e =>
+      val pu = pr.part(e._1)
+      if (pu == pr.part(e._2)) intra(pu) += e else inter += e
+    }
+    EdgeSplit(intra.map(_.result()), inter.result())
+  }
+
   /** Intra-partition edges of partition i. */
   def intraEdges(g: RoadGraph, pr: PartitionResult, i: Int): IndexedSeq[(Int, Int, Int)] =
-    g.undirectedEdges.filter { case (u, v, _) => pr.part(u) == i && pr.part(v) == i }
+    splitEdges(g, pr).intra(i)
 
   /** Inter-partition edges (both endpoints are boundary by construction). */
   def interEdges(g: RoadGraph, pr: PartitionResult): IndexedSeq[(Int, Int, Int)] =
-    g.undirectedEdges.filter { case (u, v, _) => pr.part(u) != pr.part(v) }
+    splitEdges(g, pr).inter
 
   /** Overlay graph input (Theorem 2): each partition's non-boundary
-    * vertices contracted out of its intra edges (`intra(i)`), in parallel,
-    * plus the inter edges. Distances between boundary vertices are exact.
+    * vertices contracted out of its intra edges, in parallel, plus the
+    * inter edges. Distances between boundary vertices are exact.
     */
-  def overlayEdges(g: RoadGraph, pr: PartitionResult, intra: Array[IndexedSeq[(Int, Int, Int)]],
+  def overlayEdges(g: RoadGraph, pr: PartitionResult, edges: EdgeSplit,
                    threads: Int): Seq[(Int, Int, Int)] = {
     val contracted = Parallel.map((0 until pr.k).toSeq, threads) { i =>
       val contract = Array.tabulate(g.n)(v => pr.part(v) == i && !pr.boundary(v))
-      MDE.phase1(g.n, intra(i), contract)
+      MDE.phase1(g.n, edges.intra(i), contract)
     }
-    contracted.flatten ++ interEdges(g, pr)
+    contracted.flatten ++ edges.inter
   }
 }

@@ -46,8 +46,8 @@ object DistributedLabels {
   def prepare(g: RoadGraph, k: Int): Prep = {
     val pr = SpatialPartitioner.partition(g, k)
     val n = g.n
-    val intra = Array.tabulate(k)(SpatialPartitioner.intraEdges(g, pr, _))
-    val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(g, pr, intra, threads = 1))
+    val edges = SpatialPartitioner.splitEdges(g, pr)
+    val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(g, pr, edges, threads = 1))
     val labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca()
     val ovLabels = (0 until n).filter(pr.boundary).flatMap { b =>
       val chain = tdOv.ancestorChain(b)
@@ -57,7 +57,7 @@ object DistributedLabels {
     val rows = new mutable.ArrayBuffer[EdgeRow]()
     for (i <- 0 until k) {
       val bs = pr.boundaryOf(i)
-      intra(i).foreach { case (u, v, w) =>
+      edges.intra(i).foreach { case (u, v, w) =>
         rows += EdgeRow(i, u, v, w, pr.boundary(u), pr.boundary(v))
       }
       for (a <- bs.indices; b <- (a + 1) until bs.length) {
