@@ -2,9 +2,10 @@ package repro.core.h2h
 
 import repro.core.td.TD.Inf
 
-/** The post-boundary kernels PMHL and PostMHL share (§IV-A, §V-C,
-  * Algorithm 4): boundary concatenation over the overlay index, the
-  * boundary-array recurrence, and the same-partition LCA-hub minimum.
+/** Post-boundary kernels (§IV-A, §V-C, Algorithm 4). [[concat]], the
+  * boundary concatenation over the overlay index, is shared by PMHL and
+  * PostMHL; [[boundaryArray]], the boundary-array recurrence, and
+  * [[slotTable]] serve PostMHL's post-boundary pass.
   *
   * Boundary bag members are recognised through a boundary-slot row aligned
   * with the bag: `slots(k)` is the index of `bag(k)` in its partition's
@@ -79,27 +80,5 @@ object BoundaryLabels {
       k += 1
     }
     arr
-  }
-
-  /** Same-partition LCA-hub minimum: the minimum of `bound` and, over the
-    * members x of the LCA's bag, `dsB(slot) + dtB(slot)` for a boundary
-    * member and `ds(depth(x)) + dt(depth(x))` for an ancestor inside the
-    * partition (`ds`, `dt` are the endpoints' labels, `dsB`, `dtB` their
-    * boundary arrays).
-    */
-  def hubMin(bag: Array[Int], slots: Array[Int], depth: Array[Int],
-             ds: Array[Int], dt: Array[Int], dsB: Array[Int], dtB: Array[Int],
-             bound: Int): Int = {
-    var best = bound
-    var k = 0
-    while (k < bag.length) {
-      val b = slots(k)
-      val cand =
-        if (b >= 0) dsB(b) + dtB(b)
-        else { val dx = depth(bag(k)); ds(dx) + dt(dx) }
-      if (cand < best) best = cand
-      k += 1
-    }
-    best
   }
 }

@@ -34,7 +34,8 @@ final case class StageTimes(t: Array[Double]) {
   * The cross-boundary tree T* (`parentStar`/`depthStar`) is built once, for
   * every `stages`: boundary vertices keep their overlay parents, the others
   * their partition parents. PCH walks it ([[CHQuery]]) over the overlay
-  * rows of boundary vertices and the partition rows of the others. The
+  * rows of boundary vertices and the partition rows of the others, and
+  * [[CrossBoundary]] runs the H2H recurrence over the same rows. The
   * partitions' boundary rows are not needed: a boundary vertex's partition
   * bag is a subset of its overlay bag (the overlay eliminates the same
   * boundary order over a superset of the edges), and in each shared slot
@@ -139,13 +140,13 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       depthStar = Array.tabulate(n)(v => if (boundary(v)) tdOv.depth(v) else -1)
       for (i <- 0 until k; v <- tdPart(i).order.reverseIterator if !boundary(v) && part(v) == i)
         depthStar(v) = if (parentStar(v) == -1) 0 else depthStar(parentStar(v)) + 1
+      val star = new UpwardGraph(parentStar, depthStar,
+        Array.tabulate(n)(v => tdOf(v).bag(v)), Array.tabulate(n)(v => tdOf(v).sc(v)))
+      pchQuery = new CHQuery(star)
       if (stages == 5) {
-        cross = new CrossBoundary(n, boundary, part, partBoundary, tdPart, tdOv, labOv, dMat,
-          parentStar, depthStar)
+        cross = new CrossBoundary(k, boundary, part, labOv, star)
         cross.buildAll(threads)
       }
-      pchQuery = new CHQuery(new UpwardGraph(parentStar, depthStar,
-        Array.tabulate(n)(v => tdOf(v).bag(v)), Array.tabulate(n)(v => tdOf(v).sc(v))))
     }
     times.toArray
   }
@@ -159,7 +160,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     edges.intra(i) ++ clique
   }
 
-  /** The TD that holds v's T* parent and PCH rows. */
+  /** The TD that holds v's T* parent and bag rows. */
   private def tdOf(v: Int): TD = if (boundary(v)) tdOv else tdPart(part(v))
 
   // ------------------------------------------------------------------
@@ -262,7 +263,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
 
     // U-Stage 4: post-boundary index update.
     val changedOvSet = changedOvLabels.toSet
-    val changedD = new Array[Boolean](k)
     Parallel.run((0 until k).filter(i =>
         intraBy(i).nonEmpty || partBoundary(i).exists(changedOvSet.contains)
       ).map(i => () => {
@@ -272,7 +272,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       for (a <- bs.indices; b <- (a + 1) until bs.length
            if newD(a)(b) != dMat(i)(a)(b) && (newD(a)(b) < Inf || dMat(i)(a)(b) < Inf))
         seeds += ((bs(a), bs(b), newD(a)(b)))
-      changedD(i) = seeds.nonEmpty
       dMat(i) = newD
       // Intra changes where both endpoints are boundary are dominated by D.
       intraBy(i).foreach { case e @ (u, v, _) =>
@@ -287,7 +286,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
 
     // U-Stage 5: cross-boundary index update.
     if (stages == 5) {
-      cross.update(partScTouched, changedOvLabels, changedD, threads)
+      cross.update(partScTouched, changedOvLabels, threads)
       mark(4)
     }
 

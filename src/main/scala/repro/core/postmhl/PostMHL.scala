@@ -135,23 +135,16 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   /** Q-Stage 2: CH search over the global shortcut arrays. */
   def queryPCH(s: Int, t: Int): Int = chQ.query(s, t)
 
-  /** Q-Stage 3: post-boundary query — same-partition via LCA hubs read
-    * from post entries and boundary arrays; cross-partition via boundary
-    * concatenation over the overlay index.
+  /** Q-Stage 3: post-boundary query — both overlay or same-partition via
+    * the H2H query; cross-partition via boundary concatenation over the
+    * overlay index. A same-partition pair's hubs are in-partition vertices
+    * or, by running intersection, overlay members of `partB(i)`, whose
+    * depths U4 has written, so the H2H query reads no cross entry.
     */
   def queryPost(s: Int, t: Int): Int = {
     if (s == t) return 0
     val ps = partOf(s); val pt = partOf(t)
-    if (ps == -1 && pt == -1) return labels.query(s, t)
-    if (ps != -1 && ps == pt) {
-      val a = td.lca(s, t)
-      if (a == -1) return Inf
-      if (a == s) return dis(t)(td.depth(s))
-      if (a == t) return dis(s)(td.depth(t))
-      val da = td.depth(a)
-      return BoundaryLabels.hubMin(td.bag(a), slots(a), td.depth, dis(s), dis(t), disB(s), disB(t),
-        dis(s)(da) + dis(t)(da))
-    }
+    if (ps == pt) return labels.query(s, t)
     // cross-partition (or one endpoint overlay): boundary concatenation
     val (bsS, dsS) =
       if (ps == -1) (Array(s), Array(0)) else (partB(ps), disB(s))

@@ -7,7 +7,7 @@ import repro.core.h2h.{BoundaryLabels, H2HIndex}
 import repro.core.sp.Dijkstra
 import scala.util.Random
 
-/** The shared post-boundary kernels against brute-force minima on random
+/** The post-boundary kernels against brute-force minima on random
   * small inputs, including `Inf` entries, one-element sides, empty
   * boundary lists and starting bounds below every candidate.
   */
@@ -56,33 +56,6 @@ class BoundaryLabelsSpec extends AnyFunSuite {
         (Inf +: bag.indices.map(k => sc(k) + (if (slots(k) >= 0) d(slots(k))(j) else disB(bag(k))(j)))).min
       }
       assert(BoundaryLabels.boundaryArray(bag, sc, slots, d, disB).sameElements(expected), s"trial $trial")
-    }
-  }
-
-  test("hubMin equals the brute-force minimum over LCA bag members") {
-    val rnd = new Random(704)
-    for (trial <- 1 to 400) {
-      val nb = rnd.nextInt(4)
-      val n = 12; val h = 8
-      val depth = Array.fill(n)(rnd.nextInt(h))
-      val bag = rnd.shuffle((0 until n).toVector).take(rnd.nextInt(4) match {
-        case 0 => 0
-        case 1 => 1 // one-element bag
-        case _ => 2 + rnd.nextInt(5)
-      }).toArray
-      val slots = bag.map(_ => if (nb > 0 && rnd.nextBoolean()) rnd.nextInt(nb) else -1)
-      val ds = Array.fill(h)(dist(rnd)); val dt = Array.fill(h)(dist(rnd))
-      val dsB = Array.fill(nb)(dist(rnd)); val dtB = Array.fill(nb)(dist(rnd))
-      val cands = bag.indices.map { k =>
-        if (slots(k) >= 0) dsB(slots(k)) + dtB(slots(k)) else ds(depth(bag(k))) + dt(depth(bag(k)))
-      }
-      val bound = rnd.nextInt(3) match {
-        case 0 => Inf
-        case 1 => if (cands.isEmpty) 0 else math.max(0, cands.min - 1)
-        case _ => rnd.nextInt(400)
-      }
-      assert(BoundaryLabels.hubMin(bag, slots, depth, ds, dt, dsB, dtB, bound) == (bound +: cands).min,
-        s"trial $trial")
     }
   }
 }

@@ -55,17 +55,33 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
     }
   }
 
-  test("boundary arrays store exact distances to home-partition boundary") {
-    val (p, g) = build()
+  test("cross.query is exact on random pairs, same-partition pairs and non-boundary LCAs included") {
+    val g = GridGen.grid(6, 22, seed = 601)
+    val p = new PMHL(g, 4, threads = 2)
+    p.build()
     val c = p.cross
-    val rnd = new Random(603)
-    val nonB = (0 until g.n).filterNot(p.boundary)
-    for (_ <- 1 to 20) {
-      val v = nonB(rnd.nextInt(nonB.size))
-      val bs = p.partBoundary(p.part(v))
-      for ((b, j) <- bs.zipWithIndex)
-        assert(c.disBOf(v)(j) == Dijkstra.query(g, v, b), s"disB($v -> $b)")
+    val rnd = new Random(605)
+    var samePart = 0; var nonBoundaryLca = 0
+    def check(ctx: String): Unit =
+      for (_ <- 1 to 200) {
+        val s = rnd.nextInt(g.n)
+        // Every other pair is drawn from s's partition.
+        val t = if (rnd.nextBoolean()) rnd.nextInt(g.n) else {
+          val ms = (0 until g.n).filter(p.part(_) == p.part(s))
+          ms(rnd.nextInt(ms.size))
+        }
+        if (p.part(s) == p.part(t)) samePart += 1
+        val a = c.lcaStar.lca(s, t)
+        if (a != -1 && a != s && a != t && !p.boundary(a)) nonBoundaryLca += 1
+        assert(c.query(s, t) == Dijkstra.query(g, s, t), s"$ctx: cross.query($s, $t)")
+      }
+    check("build")
+    for (r <- 1 to 3) {
+      p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 620 + r))
+      check(s"batch $r")
     }
+    assert(samePart > 0, "no same-partition pair sampled")
+    assert(nonBoundaryLca > 0, "no sampled pair has a non-boundary T* LCA")
   }
 
   test("LCA of cross-partition pairs is always an overlay vertex") {

@@ -84,6 +84,25 @@ class PostMHLSpec extends AnyFunSuite {
       assert(h.dis(v).sameElements(p.dis(v)), s"post-update label mismatch at $v")
   }
 
+  test("same-partition H2H hubs: overlay bag members lie in partB, whose depths hold disB") {
+    val g = GridGen.grid(6, 30, seed = 83)
+    val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 4)
+    assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
+    def check(ctx: String): Unit =
+      for (v <- 0 until g.n if p.partOf(v) != -1) {
+        val bs = p.partB(p.partOf(v))
+        for (x <- p.td.bag(v) if p.partOf(x) == -1)
+          assert(bs.contains(x), s"$ctx: overlay bag member $x of $v not in partB(${p.partOf(v)})")
+        for (j <- bs.indices)
+          assert(p.dis(v)(p.td.depth(bs(j))) == p.disB(v)(j), s"$ctx: dis($v) at boundary ${bs(j)}")
+      }
+    check("build")
+    for (r <- 1 to 4) {
+      p.applyUpdateBatch(Datasets.updateBatch(g, 25, seed = 1000 + r))
+      check(s"round $r")
+    }
+  }
+
   test("PostMHL on random graph with updates") {
     val g = GridGen.randomConnected(150, 100, seed = 85)
     val p = new PostMHL(g, tau = 15, ke = 6, betaL = 0.05, betaU = 3.0, threads = 2)
