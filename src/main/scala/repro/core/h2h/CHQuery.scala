@@ -2,31 +2,10 @@ package repro.core.h2h
 
 import repro.core.td.TD
 
-/** Tree view of a contraction hierarchy for [[CHQuery]].
-  *
-  * Per vertex `v`: its `parent` (-1 for a root) and `depth` in a forest in
-  * which every member of `bag(v)` is a proper ancestor of `v`, and `sc(v)`,
-  * the upward shortcut weights aligned with `bag(v)`. The rows alias the
-  * owning [[TD]]s' `bag`/`sc` arrays, so weight maintenance done by
-  * `ShortcutUpdater` is visible here without copying. For one TD the view
-  * is the TD itself; PMHL's PCH stage (N-CH-P [35]) builds it over the
-  * cross-boundary tree T*.
-  */
-final class UpwardGraph(
-    val parent: Array[Int],
-    val depth: Array[Int],
-    val bag: Array[Array[Int]],
-    val sc: Array[Array[Int]],
-)
-
-object UpwardGraph {
-  /** Plain CH view of a single TD. */
-  def fromTD(td: TD): UpwardGraph = new UpwardGraph(td.parent, td.depth, td.bag, td.sc)
-}
-
 /** CH query [14] as the elimination-tree walk of Customizable CH (Dibbelt,
-  * Strasser, Wagner, ACM JEA 2016). This is the query procedure of DCH, of
-  * MHL's Q-Stage 2 and of PMHL/PostMHL's PCH stage.
+  * Strasser, Wagner, ACM JEA 2016), over an [[UpwardGraph]]: a TD, or
+  * PMHL's T*. This is the query procedure of DCH, of MHL's Q-Stage 2 and
+  * of PMHL/PostMHL's PCH stage.
   *
   * Every upward shortcut of `v` leads to a bag member, an ancestor of `v`.
   * So the vertices an upward search from `s` reaches are ancestors of `s`,

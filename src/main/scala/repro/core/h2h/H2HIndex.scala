@@ -3,7 +3,8 @@ package repro.core.h2h
 import repro.core.td.TD
 import scala.collection.mutable
 
-/** H2H distance labels [22] over a [[TD]].
+/** H2H distance labels [22] over an [[UpwardGraph]]: a [[TD]], or PMHL's
+  * cross-boundary tree T*.
   *
   * `dis(v)(j)` = distance from `v` to its ancestor at depth `j`
   * (`dis(v)(depth(v)) == 0` for `v` itself). Position arrays are implicit:
@@ -15,9 +16,11 @@ import scala.collection.mutable
   * which downstream PSP stages need).
   *
   * The recurrence ([[relax]] over a depth range) and the subtree [[walk]]
-  * also serve PostMHL, whose index parts are depth ranges of one label array.
+  * also serve PostMHL, whose index parts are depth ranges of one label
+  * array, and PMHL's `L*` ([[repro.core.pmhl.CrossBoundary]]), which walks
+  * only the non-boundary subtrees of T* and aliases the other rows.
   */
-final class H2HIndex(val td: TD) {
+final class H2HIndex(val td: UpwardGraph) {
   import TD.Inf
 
   /** Distance labels; null until `build()`. */
@@ -99,13 +102,14 @@ final class H2HIndex(val td: TD) {
     if (a == -1) return Inf
     if (a == s) return dis(t)(td.depth(s))
     if (a == t) return dis(s)(td.depth(t))
+    val ds = dis(s); val dt = dis(t)
     val da = td.depth(a)
-    var best = dis(s)(da) + dis(t)(da)
+    var best = ds(da) + dt(da)
     val bg = td.bag(a)
     var i = 0
     while (i < bg.length) {
       val dx = td.depth(bg(i))
-      val cand = dis(s)(dx) + dis(t)(dx)
+      val cand = ds(dx) + dt(dx)
       if (cand < best) best = cand
       i += 1
     }

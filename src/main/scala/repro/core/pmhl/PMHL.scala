@@ -32,15 +32,15 @@ final case class StageTimes(t: Array[Double]) {
   * 4 post-boundary → 5 cross-boundary (+post-boundary for same-partition).
   *
   * The cross-boundary tree T* (`parentStar`/`depthStar`) is built once, for
-  * every `stages`: boundary vertices keep their overlay parents, the others
-  * their partition parents. PCH walks it ([[CHQuery]]) over the overlay
-  * rows of boundary vertices and the partition rows of the others, and
-  * [[CrossBoundary]] runs the H2H recurrence over the same rows. The
-  * partitions' boundary rows are not needed: a boundary vertex's partition
-  * bag is a subset of its overlay bag (the overlay eliminates the same
-  * boundary order over a superset of the edges), and in each shared slot
-  * the overlay shortcut is at most the partition one (the overlay input
-  * holds the partition's phase-1 values).
+  * every `stages`, as one [[UpwardGraph]]: boundary vertices keep their
+  * overlay parents, the others their partition parents. PCH walks it
+  * ([[CHQuery]]) over the overlay rows of boundary vertices and the
+  * partition rows of the others, and [[CrossBoundary]] is an [[H2HIndex]]
+  * over the same tree and rows. The partitions' boundary rows are not
+  * needed: a boundary vertex's partition bag is a subset of its overlay
+  * bag (the overlay eliminates the same boundary order over a superset of
+  * the edges), and in each shared slot the overlay shortcut is at most the
+  * partition one (the overlay input holds the partition's phase-1 values).
   *
   * `stages` < 5 builds and maintains only the first `stages` of them; the
   * PSP baselines of [35] are this index stopped early: N-CH-P is

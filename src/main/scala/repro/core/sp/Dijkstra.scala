@@ -1,5 +1,6 @@
 package repro.core.sp
 
+import repro.core.td.TD
 import repro.graph.RoadGraph
 
 /** Index-free shortest-path algorithms: ground truth and the Q-Stage-1
@@ -7,7 +8,8 @@ import repro.graph.RoadGraph
   */
 object Dijkstra {
 
-  val Inf: Int = Int.MaxValue / 4
+  /** Unreachable: the same value as the indexes' `TD.Inf`. */
+  val Inf: Int = TD.Inf
 
   /** Single-source distances via lazy-deletion binary-heap Dijkstra. */
   def sssp(g: RoadGraph, s: Int): Array[Int] = {

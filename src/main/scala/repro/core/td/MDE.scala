@@ -231,7 +231,6 @@ object MDE {
       v += 1
     }
     val (sup, supSlots) = triangles(n, order, bag)
-    val (children, roots) = TD.forest(parent)
 
     // Depth via top-down order (parents have higher rank, so walk order desc).
     val depth = new Array[Int](n)
@@ -242,7 +241,7 @@ object MDE {
       ri -= 1
     }
 
-    new TD(n, rank, order, parent, children, depth, bag, sc, base, sup, supSlots, roots)
+    new TD(rank, order, parent, depth, bag, sc, base, sup, supSlots)
   }
 
   /** The shortcut triangles of the final bags: vertex w supports the pair

@@ -1,6 +1,6 @@
 package repro.core.td
 
-import repro.util.TreeLca
+import repro.core.h2h.UpwardGraph
 
 /** Tree decomposition of a weighted graph produced by minimum-degree
   * elimination (MDE, Definition 1 / §II of the paper).
@@ -32,23 +32,22 @@ import repro.util.TreeLca
   * [[ShortcutUpdater]]:
   * `sc(v)(i) == min(base(v)(i), min_w sc(w,v)+sc(w,bag(v)(i)))`.
   *
-  * The tree may be a forest if the input graph is disconnected; `parent`
-  * is -1 for roots and LCA queries across components return -1.
+  * A TD is an [[UpwardGraph]] (`parent`, `depth`, `bag`, `sc`): the tree
+  * shape (children, roots, height, LCA, ancestor walks) is derived there,
+  * and [[repro.core.h2h.CHQuery]] and [[repro.core.h2h.H2HIndex]] run on a
+  * TD directly. It may be a forest if the input graph is disconnected.
   */
 final class TD(
-    val n: Int,
     val rank: Array[Int],
     val order: Array[Int],
-    val parent: Array[Int],
-    val children: Array[Array[Int]],
-    val depth: Array[Int],
-    val bag: Array[Array[Int]],
-    val sc: Array[Array[Int]],
+    parent: Array[Int],
+    depth: Array[Int],
+    bag: Array[Array[Int]],
+    sc: Array[Array[Int]],
     val base: Array[Array[Int]],
     val supporters: Array[Array[Array[Int]]],
     val supSlots: Array[Array[Array[Int]]],
-    val roots: Array[Int],
-) {
+) extends UpwardGraph(parent, depth, bag, sc) {
   import TD.Inf
 
   /** Current shortcut weight of pair (w, x); `Inf` if x not in bag(w). */
@@ -70,81 +69,14 @@ final class TD(
   /** Owner of pair (a, b) = the lower-rank endpoint (its bag holds the slot). */
   def pairOwner(a: Int, b: Int): Int = if (rank(a) < rank(b)) a else b
 
-  /** Tree height (max depth + 1). */
-  lazy val height: Int = if (n == 0) 0 else depth.max + 1
-
   /** Treewidth proxy: max bag size. */
   lazy val maxBagSize: Int = if (n == 0) 0 else bag.map(_.length).max
 
   /** Total number of shortcut slots (the CH index size). */
   lazy val slotCount: Long = bag.map(_.length.toLong).sum
-
-  /** Euler-tour LCA over this tree, built on first use. */
-  private lazy val treeLca = new TreeLca(n, parent, children, depth, roots)
-
-  /** Build the LCA structure now rather than on the first `lca` call. */
-  def buildLca(): Unit = treeLca
-
-  /** Lowest common ancestor of s and t; -1 if in different components. */
-  def lca(s: Int, t: Int): Int = treeLca.lca(s, t)
-
-  /** The members of `affected` with no affected proper ancestor: the roots
-    * of the subtrees a top-down label pass must redo, in input order. Keeps
-    * per-call state only, so partition tasks may call it concurrently.
-    */
-  def subtreeTops(affected: Array[Int]): Array[Int] = {
-    val set = new java.util.HashSet[Integer]()
-    affected.foreach(v => set.add(v))
-    affected.filter { v =>
-      var a = parent(v); var top = true
-      while (a != -1 && top) { if (set.contains(a)) top = false; a = parent(a) }
-      top
-    }
-  }
-
-  /** Is `a` an ancestor of (or equal to) `v`? O(depth) parent walk. */
-  def isAncestorOrSelf(a: Int, v: Int): Boolean = {
-    var x = v
-    while (x != -1 && depth(x) >= depth(a)) {
-      if (x == a) return true
-      x = parent(x)
-    }
-    false
-  }
-
-  /** Ancestor chain of v from root (depth 0) down to v inclusive. */
-  def ancestorChain(v: Int): Array[Int] = {
-    val res = new Array[Int](depth(v) + 1)
-    var x = v
-    while (x != -1) { res(depth(x)) = x; x = parent(x) }
-    res
-  }
 }
 
 object TD {
   /** "Infinite" distance guard; small enough that a few additions can't overflow Int. */
   val Inf: Int = Int.MaxValue / 4
-
-  /** The children lists and the roots of the forest `parent` describes
-    * (-1 marks a root), each in ascending vertex id.
-    */
-  def forest(parent: Array[Int]): (Array[Array[Int]], Array[Int]) = {
-    val n = parent.length
-    val count = new Array[Int](n)
-    var nRoots = 0
-    var v = 0
-    while (v < n) { if (parent(v) == -1) nRoots += 1 else count(parent(v)) += 1; v += 1 }
-    val children = count.map(c => if (c == 0) Array.emptyIntArray else new Array[Int](c))
-    val roots = new Array[Int](nRoots)
-    java.util.Arrays.fill(count, 0)
-    nRoots = 0
-    v = 0
-    while (v < n) {
-      val p = parent(v)
-      if (p == -1) { roots(nRoots) = v; nRoots += 1 }
-      else { children(p)(count(p)) = v; count(p) += 1 }
-      v += 1
-    }
-    (children, roots)
-  }
 }

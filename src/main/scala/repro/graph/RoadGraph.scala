@@ -43,10 +43,10 @@ final class RoadGraph(
     if (i < 0) -1 else w(i)
   }
 
-  /** The largest weight `setWeight` accepts: no simple path (at most
-    * n - 1 edges) of such weights sums to `TD.Inf`.
+  /** The largest weight `setWeight` and `fromEdges` accept: no simple path
+    * (at most n - 1 edges) of such weights sums to `TD.Inf`.
     */
-  val maxWeight: Int = if (n <= 1) Int.MaxValue else (TD.Inf - 1) / (n - 1)
+  val maxWeight: Int = RoadGraph.weightCap(n)
 
   /** Set the weight of undirected edge (u, v) in both arc directions. The
     * weight must be positive and at most `maxWeight`.
@@ -78,12 +78,21 @@ final class RoadGraph(
 
 object RoadGraph {
 
-  /** Build a RoadGraph from undirected edges (u, v, w); duplicates keep min weight. */
+  /** The weight cap of an n-vertex graph (see the `maxWeight` member). */
+  private def weightCap(n: Int): Int = if (n <= 1) Int.MaxValue else (TD.Inf - 1) / (n - 1)
+
+  /** Build a RoadGraph from undirected edges (u, v, w); duplicates keep min
+    * weight. Endpoints must lie in [0, n) and differ; weights must be
+    * positive and at most `maxWeight`.
+    */
   def fromEdges(n: Int, edges: Seq[(Int, Int, Int)],
                 xs: Array[Double] = null, ys: Array[Double] = null): RoadGraph = {
+    val cap = weightCap(n)
     val best = new java.util.HashMap[Long, Int]()
     edges.foreach { case (u, v, wt) =>
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) has an endpoint outside [0, $n)")
       require(u != v, "self loop"); require(wt > 0, "non-positive weight")
+      require(wt <= cap, s"weight $wt on edge ($u,$v): a path of ${n - 1} such edges would reach Inf")
       val key = (math.min(u, v).toLong << 32) | math.max(u, v).toLong
       val old = best.get(key)
       if (!best.containsKey(key) || wt < old) best.put(key, wt)

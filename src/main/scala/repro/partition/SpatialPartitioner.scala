@@ -76,14 +76,6 @@ object SpatialPartitioner {
     EdgeSplit(intra.map(_.result()), inter.result())
   }
 
-  /** Intra-partition edges of partition i. */
-  def intraEdges(g: RoadGraph, pr: PartitionResult, i: Int): IndexedSeq[(Int, Int, Int)] =
-    splitEdges(g, pr).intra(i)
-
-  /** Inter-partition edges (both endpoints are boundary by construction). */
-  def interEdges(g: RoadGraph, pr: PartitionResult): IndexedSeq[(Int, Int, Int)] =
-    splitEdges(g, pr).inter
-
   /** Overlay graph input (Theorem 2): each partition's non-boundary
     * vertices contracted out of its intra edges, in parallel, plus the
     * inter edges. Distances between boundary vertices are exact.

@@ -1,7 +1,8 @@
 package repro.util
 
 /** Euler-tour + sparse-table LCA over an arbitrary forest: the LCA of
-  * every [[repro.core.td.TD]] and of the PMHL cross-boundary tree T*.
+  * every [[repro.core.h2h.UpwardGraph]] (each TD and PMHL's
+  * cross-boundary tree T*).
   * O(n log n) build, O(1) query; -1 across components.
   */
 final class TreeLca(n: Int, parent: Array[Int], children: Array[Array[Int]],

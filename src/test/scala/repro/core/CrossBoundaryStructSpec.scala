@@ -40,18 +40,21 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
   test("cross labels store exact global distances to T* ancestors") {
     val (p, g) = build()
     val c = p.cross
-    val rnd = new Random(602)
-    val nonB = (0 until g.n).filterNot(p.boundary)
-    for (_ <- 1 to 25) {
-      val v = nonB(rnd.nextInt(nonB.size))
-      val ds = c.disStarOf(v)
-      // walk the ancestor chain via parentStar
-      var a = v
-      val chain = scala.collection.mutable.ArrayBuffer[Int]()
-      while (a != -1) { chain += a; a = c.parentStar(a) }
-      for (x <- chain)
-        assert(ds(c.depthStar(x)) == Dijkstra.query(g, v, x),
-          s"dis*($v -> $x)")
+    def check(ctx: String): Unit =
+      for (v <- 0 until g.n if !p.boundary(v)) {
+        val ds = c.disStarOf(v)
+        val truth = Dijkstra.sssp(g, v)
+        // walk the ancestor chain via parentStar
+        var x = v
+        while (x != -1) {
+          assert(ds(c.depthStar(x)) == truth(x), s"$ctx: dis*($v -> $x)")
+          x = c.parentStar(x)
+        }
+      }
+    check("build")
+    for (r <- 1 to 3) {
+      p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 630 + r))
+      check(s"batch $r")
     }
   }
 
@@ -134,7 +137,13 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
   test("overlay vertices read through to the live overlay labels") {
     val (p, g) = build()
     val c = p.cross
-    val someB = (0 until g.n).find(p.boundary).get
-    assert(c.disStarOf(someB) eq p.labOv.dis(someB))
+    def check(ctx: String): Unit =
+      for (b <- 0 until g.n if p.boundary(b))
+        assert(c.disStarOf(b) eq p.labOv.dis(b), s"$ctx: dis*($b) is not the overlay row")
+    check("build")
+    for (r <- 1 to 3) {
+      p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 640 + r))
+      check(s"batch $r")
+    }
   }
 }

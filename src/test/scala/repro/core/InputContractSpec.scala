@@ -5,8 +5,8 @@ import repro.graph.{Datasets, GridGen, RoadGraph}
 import repro.core.td.{MDE, ShortcutUpdater, TD}
 
 /** Weight updates obey the same contract as graph construction: every
-  * weight is positive. A weight update is also capped, so that no simple
-  * path sums to `TD.Inf`.
+  * weight is positive and capped, so that no simple path sums to `TD.Inf`.
+  * Construction also rejects endpoints outside the vertex range.
   */
 class InputContractSpec extends AnyFunSuite {
 
@@ -28,6 +28,18 @@ class InputContractSpec extends AnyFunSuite {
     val c = g.copyWeights()
     c.setWeight(u, v, cap)
     assert(c.weight(u, v) == cap && c.weight(v, u) == cap)
+  }
+
+  test("RoadGraph.fromEdges rejects weights above maxWeight and endpoints outside [0, n)") {
+    val n = 5
+    val cap = (TD.Inf - 1) / (n - 1)
+    val path = (0 until n - 1).map(i => (i, i + 1, 1))
+    for (bad <- Seq(cap + 1, TD.Inf, Int.MaxValue))
+      intercept[IllegalArgumentException] { RoadGraph.fromEdges(n, path :+ ((0, 2, bad))) }
+    for (e <- Seq((0, n, 1), (n, 0, 1), (-1, 2, 1), (2, -1, 1)))
+      intercept[IllegalArgumentException] { RoadGraph.fromEdges(n, path :+ e) }
+    val g = RoadGraph.fromEdges(n, path :+ ((0, 2, cap)))
+    assert(g.maxWeight == cap && g.weight(0, 2) == cap)
   }
 
   test("Datasets.updateBatch caps a doubled weight at the largest weight setWeight accepts") {

@@ -170,13 +170,14 @@ class MDESpec extends AnyFunSuite {
   test("forcedLast and forcedRank orders of PMHL-style partitions on global ids") {
     val g = GridGen.grid(6, 30, seed = 21)
     val pr = SpatialPartitioner.partition(g, 4)
-    val intra = Array.tabulate(pr.k)(SpatialPartitioner.intraEdges(g, pr, _))
+    val edges = SpatialPartitioner.splitEdges(g, pr)
+    val intra = edges.intra
     // the Theorem-2 overlay input: each partition contracted to its boundary
     val ovEdges = (0 until pr.k).flatMap { i =>
       val contract = Array.tabulate(g.n)(v => pr.part(v) == i && !pr.boundary(v))
       checkPhase1(g.n, intra(i), contract, s"phase1 partition $i")
       MDE.phase1(g.n, intra(i), contract)
-    } ++ SpatialPartitioner.interEdges(g, pr)
+    } ++ edges.inter
     val ov = check(g.n, ovEdges, "overlay")
     for (i <- 0 until pr.k) {
       val forced = Array.tabulate(g.n)(v => pr.part(v) == i && pr.boundary(v))

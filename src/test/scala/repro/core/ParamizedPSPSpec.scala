@@ -69,11 +69,12 @@ class ParamizedPSPSpec extends AnyFunSuite {
         assert(pr.boundary(v) == cross, s"boundary flag wrong at $v")
       }
       // inter edges touch two different partitions, intra edges one
-      SpatialPartitioner.interEdges(g, pr).foreach { case (u, v, _) =>
+      val edges = SpatialPartitioner.splitEdges(g, pr)
+      edges.inter.foreach { case (u, v, _) =>
         assert(pr.part(u) != pr.part(v))
       }
       for (i <- 0 until k)
-        SpatialPartitioner.intraEdges(g, pr, i).foreach { case (u, v, _) =>
+        edges.intra(i).foreach { case (u, v, _) =>
           assert(pr.part(u) == i && pr.part(v) == i)
         }
     }
