@@ -9,11 +9,13 @@ import scala.collection.mutable
   * `dis(v)(j)` = distance from `v` to its ancestor at depth `j`
   * (`dis(v)(depth(v)) == 0` for `v` itself). Position arrays are implicit:
   * a bag member's position is its depth, since every bag member is an
-  * ancestor. Built top-down; maintained by the coarse-but-correct DH2H
-  * top-down mechanism [33]: labels can only change inside the subtrees of
-  * vertices whose shortcut arrays changed, so those subtrees are recomputed
-  * from their highest affected roots (tracking which labels actually moved,
-  * which downstream PSP stages need).
+  * ancestor. Built top-down; maintained top-down as in DH2H [33]: labels
+  * can only change inside the subtrees of vertices whose shortcut arrays
+  * changed, so [[updateSubtrees]] walks those subtrees from their highest
+  * affected roots and reports which rows moved (downstream PSP stages read
+  * it). Few affected vertices against many rows under them take the entry
+  * pass, which recomputes only the entries a changed shortcut or a changed
+  * entry above can reach; otherwise the subtree pass recomputes every row.
   *
   * The recurrence ([[relax]] over a depth range) and the subtree [[walk]]
   * also serve PostMHL, whose index parts are depth ranges of one label
@@ -81,18 +83,161 @@ final class H2HIndex(val td: UpwardGraph) {
     td.roots.foreach(walk(_, pathDis, _ => true)(computeDis(_, pathDis)))
   }
 
-  /** DH2H-style top-down maintenance: recompute the subtrees rooted at the
-    * highest affected vertices; returns the vertices whose labels changed.
+  /** DH2H top-down maintenance [33] after the shortcut arrays of the
+    * `affected` vertices changed: recomputes labels under their
+    * [[UpwardGraph.subtreeTops]] and returns the vertices whose labels
+    * changed, in walk order. The entry pass runs when `affected` is less
+    * than [[H2HIndex.EntryShare]] of the rows under the tops, the subtree
+    * pass otherwise; both give the same labels and the same result. Neither
+    * writes into a row array that was published before the call.
     */
-  def updateSubtrees(affected: Array[Int]): Array[Int] = {
-    val changed = new mutable.ArrayBuffer[Int]()
+  def updateSubtrees(affected: Array[Int]): Array[Int] = updateSubtrees(affected, H2HIndex.Auto)
+
+  /** [[updateSubtrees]] with the pass chosen by `pass` (tests force one). */
+  private[core] def updateSubtrees(affected: Array[Int], pass: H2HIndex.Pass): Array[Int] = {
+    val tops = td.subtreeTops(affected)
+    val changed = new mutable.ArrayBuilder.ofInt
     val pathDis = new Array[Array[Int]](td.height)
-    for (top <- td.subtreeTops(affected)) walk(top, pathDis, _ => true) { v =>
+    val entry = pass match {
+      case H2HIndex.Entry => true
+      case H2HIndex.Subtree => false
+      case H2HIndex.Auto =>
+        var rows = 0L
+        tops.foreach(rows += td.subtreeSize(_))
+        affected.length < H2HIndex.EntryShare * rows
+    }
+    if (entry) {
+      val ep = new EntryPass(affected, pathDis, changed)
+      tops.foreach(ep.run)
+    } else for (top <- tops) walk(top, pathDis, _ => true) { v =>
       val arr = computeDis(v, pathDis)
       if (!java.util.Arrays.equals(arr, dis(v))) changed += v
       arr
     }
-    changed.toArray
+    changed.result()
+  }
+
+  /** The entry pass of [[updateSubtrees]]: a top-down [[walk]] that
+    * recomputes entry (v, j) only if
+    *  - v is affected (then the whole row), or
+    *  - `dis(x)(j)` changed for a bag member x deeper than j, or
+    *  - `dis(a_j)(depth x)` changed for a bag member x above j,
+    * since no other entry the recurrence reads can have moved.
+    *
+    * For each depth d on the current path, `cols` holds the columns at
+    * which the row at d changed, and `rows` is its transpose: for each
+    * column j, the deeper path depths whose row changed at j. A depth's bits
+    * are cleared when the walk enters it again, and the depths above a top
+    * when its walk starts. A row without candidates keeps its array. A
+    * dense row (at least a quarter candidates) is recomputed by [[relax]]
+    * into a fresh array and diffed; a sparse one recomputes only its
+    * candidate columns and copies the row when the first entry moves.
+    * Either keeps the old array if nothing changed.
+    */
+  private final class EntryPass(affected: Array[Int], pathDis: Array[Array[Int]],
+                                changed: mutable.ArrayBuilder.ofInt) {
+    private val words = (td.height + 63) >>> 6
+    private val isAffected = new Array[Boolean](td.n)
+    affected.foreach(isAffected(_) = true)
+    /** `cols(d * words + w)`: word w of the columns (< d) that changed at depth d. */
+    private val cols = new Array[Long](td.height * words)
+    /** `rows(j * words + w)`: word w of the depths (> j) whose row changed at column j. */
+    private val rows = new Array[Long](td.height * words)
+    private val cand = new Array[Long](words)
+
+    def run(top: Int): Unit = {
+      var d = 0
+      while (d < td.depth(top)) { clearDepth(d); d += 1 }
+      walk(top, pathDis, _ => true)(label)
+    }
+
+    private def clearDepth(d: Int): Unit = {
+      val at = d * words
+      var w = 0
+      while (w < words) {
+        var bits = cols(at + w)
+        while (bits != 0L) {
+          val j = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+          rows(j * words + (d >>> 6)) &= ~(1L << d)
+          bits &= bits - 1
+        }
+        cols(at + w) = 0L
+        w += 1
+      }
+    }
+
+    private def mark(d: Int, j: Int): Unit = {
+      cols(d * words + (j >>> 6)) |= 1L << j
+      rows(j * words + (d >>> 6)) |= 1L << d
+    }
+
+    private def label(v: Int): Array[Int] = {
+      val dv = td.depth(v)
+      clearDepth(dv)
+      val old = dis(v)
+      if (isAffected(v)) return dense(v, dv, old)
+      // Candidates: the changed columns of deeper members, and the path
+      // depths below shallower members whose row changed at their depth.
+      val nw = (dv + 63) >>> 6
+      java.util.Arrays.fill(cand, 0, nw, 0L)
+      val bg = td.bag(v)
+      var i = 0
+      while (i < bg.length) {
+        val at = td.depth(bg(i)) * words
+        var w = 0
+        while (w < nw) { cand(w) |= cols(at + w) | rows(at + w); w += 1 }
+        i += 1
+      }
+      if ((dv & 63) != 0) cand(nw - 1) &= (1L << dv) - 1
+      var count = 0
+      var w = 0
+      while (w < nw) { count += java.lang.Long.bitCount(cand(w)); w += 1 }
+      if (count == 0) old
+      else if (4 * count >= dv) dense(v, dv, old)
+      else sparse(v, dv, nw, old)
+    }
+
+    private def dense(v: Int, dv: Int, old: Array[Int]): Array[Int] = {
+      val arr = computeDis(v, pathDis)
+      var moved = false
+      var j = 0
+      while (j < dv) {
+        if (arr(j) != old(j)) { mark(dv, j); moved = true }
+        j += 1
+      }
+      if (moved) { changed += v; arr } else old
+    }
+
+    /** Recomputes the candidate columns one by one, each as the minimum of
+      * its [[H2HIndex.relaxMember]] terms over v's bag. Runs of candidate
+      * columns are short (4–5 on FLA-lite), so calling [[relax]] per run
+      * measured slower.
+      */
+    private def sparse(v: Int, dv: Int, nw: Int, old: Array[Int]): Array[Int] = {
+      var arr: Array[Int] = null
+      val bg = td.bag(v); val sv = td.sc(v)
+      var w = 0
+      while (w < nw) {
+        var bits = cand(w)
+        while (bits != 0L) {
+          val j = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+          bits &= bits - 1
+          var m = Inf; var i = 0
+          while (i < bg.length) {
+            val dx = td.depth(bg(i))
+            val c = sv(i) + (if (dx > j) pathDis(dx)(j) else if (dx < j) pathDis(j)(dx) else 0)
+            if (c < m) m = c
+            i += 1
+          }
+          if (m != old(j)) {
+            if (arr == null) arr = old.clone()
+            arr(j) = m; mark(dv, j)
+          }
+        }
+        w += 1
+      }
+      if (arr == null) old else { changed += v; arr }
+    }
   }
 
   /** H2H distance query via LCA separator; `Inf` if disconnected. */
@@ -118,6 +263,19 @@ final class H2HIndex(val td: UpwardGraph) {
 }
 
 object H2HIndex {
+
+  /** Which pass [[H2HIndex.updateSubtrees]] runs. */
+  private[core] sealed trait Pass
+  private[core] case object Auto extends Pass
+  private[core] case object Entry extends Pass
+  private[core] case object Subtree extends Pass
+
+  /** The entry pass runs when |affected| < EntryShare × (rows under the
+    * tops). A |U| sweep (recorded in CHANGES.md) found the entry pass
+    * faster below a share of about 0.05 on EC-lite and about 0.10 on
+    * FLA-lite, and slower above.
+    */
+  private[core] val EntryShare = 0.07
 
   /** One bag member's term of the H2H recurrence: for a member x at depth
     * `dx` with shortcut weight `sc`, lowers `arr(j)`, j in [lo, hi), to

@@ -57,17 +57,48 @@ class UpwardGraph(
   /** Lowest common ancestor of s and t; -1 if in different components. */
   def lca(s: Int, t: Int): Int = treeLca.lca(s, t)
 
+  /** Number of vertices in each vertex's subtree, itself included: the
+    * rows a top-down label pass from that vertex visits.
+    */
+  lazy val subtreeSize: Array[Int] = {
+    // Breadth-first order lists every parent before its children, so the
+    // reverse order adds each finished subtree to its parent.
+    val order = new Array[Int](n)
+    var len = roots.length
+    System.arraycopy(roots, 0, order, 0, len)
+    var i = 0
+    while (i < len) {
+      val ch = children(order(i))
+      System.arraycopy(ch, 0, order, len, ch.length)
+      len += ch.length; i += 1
+    }
+    val size = Array.fill(n)(1)
+    i = n - 1
+    while (i >= 0) { val v = order(i); if (parent(v) != -1) size(parent(v)) += size(v); i -= 1 }
+    size
+  }
+
   /** The members of `affected` with no affected proper ancestor: the roots
-    * of the subtrees a top-down label pass must redo, in input order. Keeps
-    * per-call state only, so partition tasks may call it concurrently.
+    * of the subtrees a top-down label pass must redo, in input order.
+    *
+    * One walk up from each member's parent stops at the first vertex whose
+    * answer (is it or an ancestor affected?) is already in a per-call memo,
+    * then writes that answer along the walked path, so every vertex is
+    * walked at most once per call. Keeps per-call state only, so partition
+    * tasks may call it concurrently.
     */
   def subtreeTops(affected: Array[Int]): Array[Int] = {
-    val set = new java.util.HashSet[Integer]()
-    affected.foreach(v => set.add(v))
+    // memo(x): 0 unknown, Below if x or an ancestor of x is affected, Free if not.
+    val Below: Byte = 1; val Free: Byte = 2
+    val memo = new Array[Byte](n)
+    affected.foreach(memo(_) = Below)
+    val path = new Array[Int](height)
     affected.filter { v =>
-      var a = parent(v); var top = true
-      while (a != -1 && top) { if (set.contains(a)) top = false; a = parent(a) }
-      top
+      var x = parent(v); var len = 0
+      while (x != -1 && memo(x) == 0) { path(len) = x; len += 1; x = parent(x) }
+      val ans = if (x == -1) Free else memo(x)
+      while (len > 0) { len -= 1; memo(path(len)) = ans }
+      ans == Free
     }
   }
 

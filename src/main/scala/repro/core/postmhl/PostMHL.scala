@@ -204,10 +204,11 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     buildOverlay(ovTops)
     mark(2)
 
-    val ovTopSet = ovTops.toSet
+    val isOvTop = new Array[Boolean](n)
+    ovTops.foreach(isOvTop(_) = true)
     val fullRebuild: Array[Boolean] = Array.tabulate(k) { i =>
       var a = td.parent(roots(i)); var hit = false
-      while (a != -1 && !hit) { if (ovTopSet.contains(a)) hit = true; a = td.parent(a) }
+      while (a != -1 && !hit) { if (isOvTop(a)) hit = true; a = td.parent(a) }
       hit
     }
 

@@ -14,15 +14,7 @@ import scala.util.Random
   * update batch.
   */
 class DisconnectedSpec extends AnyFunSuite {
-
-  /** Two grids side by side, with no edge between them. */
-  private def twoGrids(): RoadGraph = {
-    val a = GridGen.grid(5, 16, seed = 91)
-    val b = GridGen.grid(6, 12, seed = 92)
-    val edges = a.undirectedEdges ++ b.undirectedEdges.map { case (u, v, w) => (u + a.n, v + a.n, w) }
-    val shift = a.xs.max + 10
-    RoadGraph.fromEdges(a.n + b.n, edges, a.xs ++ b.xs.map(_ + shift), a.ys ++ b.ys)
-  }
+  import DisconnectedSpec.twoGrids
 
   private def check(g: RoadGraph, stages: Seq[(String, (Int, Int) => Int)], ctx: String): Unit = {
     val rnd = new Random(93)
@@ -66,5 +58,17 @@ class DisconnectedSpec extends AnyFunSuite {
       "BiDij" -> p.queryBiDijkstra, "PCH" -> p.queryPCH, "Post" -> p.queryPost,
       "Full" -> p.queryFull)
     scenario(g, queries, "PostMHL")(p.applyUpdateBatch(_))
+  }
+}
+
+object DisconnectedSpec {
+
+  /** Two grids side by side, with no edge between them. */
+  def twoGrids(): RoadGraph = {
+    val a = GridGen.grid(5, 16, seed = 91)
+    val b = GridGen.grid(6, 12, seed = 92)
+    val edges = a.undirectedEdges ++ b.undirectedEdges.map { case (u, v, w) => (u + a.n, v + a.n, w) }
+    val shift = a.xs.max + 10
+    RoadGraph.fromEdges(a.n + b.n, edges, a.xs ++ b.xs.map(_ + shift), a.ys ++ b.ys)
   }
 }

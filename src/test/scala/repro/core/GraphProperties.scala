@@ -63,11 +63,16 @@ object GraphProperties extends Properties("repro.core") {
     forAll(genGraph, Gen.choose(1L, 9999L)) { (g, seed) =>
       val td = MDE.decompose(g.n, g.undirectedEdges)
       val upd = new ShortcutUpdater(td)
-      val h = new H2HIndex(td); h.build()
+      val passes = Seq(H2HIndex.Auto, H2HIndex.Entry, H2HIndex.Subtree)
+      val hs = passes.map { _ => val h = new H2HIndex(td); h.build(); h }
       val batch = Datasets.updateBatch(g, math.max(2, g.m / 6), seed)
       Datasets.applyBatch(g, batch)
-      h.updateSubtrees(upd.applyInputChanges(batch).affected)
-      sampleExact(g, h.query, seed)
+      val affected = upd.applyInputChanges(batch).affected
+      passes.zip(hs).foreach { case (p, h) => h.updateSubtrees(affected, p) }
+      val rebuilt = new H2HIndex(td); rebuilt.build()
+      Prop.all(passes.zip(hs).map { case (p, h) =>
+        Prop(h.dis.indices.forall(v => java.util.Arrays.equals(h.dis(v), rebuilt.dis(v)))) :| s"$p pass"
+      }: _*) && sampleExact(g, hs.head.query, seed)
     }
 
   property("tree decomposition bags are cliques of ancestors") = forAll(genGraph) { g =>

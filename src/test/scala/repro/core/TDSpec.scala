@@ -163,4 +163,12 @@ class TDSpec extends AnyFunSuite {
         assert(td.subtreeTops(affected).toSeq == brute(affected), s"affected ${affected.toSeq}")
     }
   }
+
+  test("subtreeSize counts each vertex's descendants, itself included") {
+    for (g <- graphs) {
+      val td = MDE.decompose(g.n, g.undirectedEdges)
+      for (v <- 0 until g.n)
+        assert(td.subtreeSize(v) == (0 until g.n).count(td.isAncestorOrSelf(v, _)), s"vertex $v")
+    }
+  }
 }
