@@ -4,7 +4,7 @@ import repro.core.td.TD
 import scala.collection.mutable
 
 /** H2H distance labels [22] over an [[UpwardGraph]]: a [[TD]], or PMHL's
-  * cross-boundary tree T*.
+  * cross-boundary tree T* or post-boundary forest.
   *
   * `dis(v)(j)` = distance from `v` to its ancestor at depth `j`
   * (`dis(v)(depth(v)) == 0` for `v` itself). Position arrays are implicit:

@@ -9,9 +9,10 @@ import repro.util.TreeLca
   * Per vertex `v`: its `parent` (-1 for a root) and `depth` in a forest in
   * which every member of `bag(v)` is a proper ancestor of `v`, and `sc(v)`,
   * the upward shortcut weights aligned with `bag(v)`. A [[TD]] is one; PMHL
-  * builds another over the cross-boundary tree T*, whose rows alias the
-  * overlay and partition TDs' `bag`/`sc` arrays, so weight maintenance done
-  * by `ShortcutUpdater` is visible there without copying.
+  * builds two more, the cross-boundary tree T* and the post-boundary
+  * forest, whose `sc` rows alias the overlay and partition TDs' arrays, so
+  * weight maintenance done by `ShortcutUpdater` is visible there without
+  * copying.
   *
   * The shape of the forest (children, roots, height, LCA, ancestor walks)
   * is derived here from `parent` and `depth`, once per tree. The tree may

@@ -55,15 +55,20 @@ final class CrossBoundary(
   }
 
   /** Overlay vertices whose label changes force partition i's cross
-    * labels to be recomputed: the T* chains above its attach points.
+    * labels to be recomputed: the T* chains above its attach points, each
+    * vertex once (a walk stops where an earlier one of the same partition
+    * passed, since everything above was listed then).
     */
-  private val triggerSet: Array[mutable.HashSet[Int]] = Array.tabulate(k) { i =>
-    val s = new mutable.HashSet[Int]()
-    subtreeRootsByPart(i).foreach { r =>
-      var a = parentStar(r)
-      while (a != -1) { s += a; a = parentStar(a) }
+  private val triggers: Array[Array[Int]] = {
+    val seen = Array.fill(n)(-1)
+    Array.tabulate(k) { i =>
+      val buf = new mutable.ArrayBuilder.ofInt
+      subtreeRootsByPart(i).foreach { r =>
+        var a = parentStar(r)
+        while (a != -1 && seen(a) != i) { seen(a) = i; buf += a; a = parentStar(a) }
+      }
+      buf.result()
     }
-    s
   }
 
   /** dis* row of v (the overlay row for a boundary vertex, Lemma 2). */
@@ -91,15 +96,14 @@ final class CrossBoundary(
     *
     * @param partitionScAffected partitions whose partition-TD shortcut
     *                            arrays changed in U-Stage 2
-    * @param changedOvLabels     overlay vertices whose labels changed in
-    *                            U-Stage 3
+    * @param ovChanged           marks the overlay vertices whose labels
+    *                            changed in U-Stage 3
     */
   def update(partitionScAffected: Array[Boolean],
-             changedOvLabels: Array[Int],
+             ovChanged: Array[Boolean],
              threads: Int): Array[Boolean] = {
     linkBoundary()
-    val affected = Array.tabulate(k)(i =>
-      partitionScAffected(i) || changedOvLabels.exists(triggerSet(i).contains))
+    val affected = Array.tabulate(k)(i => partitionScAffected(i) || triggers(i).exists(v => ovChanged(v)))
     val tasks = (0 until k).filter(affected).map(i => () => buildPartition(i))
     Parallel.run(tasks, threads)
     affected

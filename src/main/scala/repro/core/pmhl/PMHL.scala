@@ -19,13 +19,18 @@ final case class StageTimes(t: Array[Double]) {
 /** Partitioned Multi-stage Hub Labeling (§V).
   *
   * Index components (Figure 6): per-partition no-boundary MHL
-  * (`tdPart`/`labPart`), overlay MHL (`tdOv`/`labOv`), post-boundary
-  * partition indexes (`tdPost`/`labPost`) over extended partitions, and
-  * the cross-boundary index `L*` ([[CrossBoundary]]).
+  * (`tdPart`/`labPart`), overlay MHL (`tdOv`/`labOv`), the post-boundary
+  * forest over the extended partitions (`post`/`labPost`), and the
+  * cross-boundary index `L*` ([[CrossBoundary]]).
   *
-  * Partition TDs use the global vertex-id space (vertices of other
-  * partitions are isolated placeholders); boundary orders inside partition
-  * TDs are fixed to the overlay MDE order, satisfying the boundary-first
+  * Each partition has its own vertex numbering: `tdPart(i)`, `updPart(i)`
+  * and `labPart(i)` run over its n_i vertices in local ids (`localId`;
+  * `members(i)` maps them back). Ids are translated only where this layer
+  * meets the others: the U2 batch and the overlay changes it reports, the
+  * Q3 side vectors, and one global-id copy of each non-boundary bag, made
+  * at build, that T* and the post-boundary forest share (their `sc` rows
+  * alias the partition TDs'). Boundary orders inside partition TDs are
+  * fixed to the overlay MDE order, satisfying the boundary-first
   * consistency conditions of §IV-B.
   *
   * Query stages (Figure 7): 1 BiDijkstra → 2 PCH → 3 no-boundary →
@@ -42,6 +47,20 @@ final case class StageTimes(t: Array[Double]) {
   * the edges), and in each shared slot the overlay shortcut is at most the
   * partition one (the overlay input holds the partition's phase-1 values).
   *
+  * The post-boundary index of partition i is the H2H index of an MDE over
+  * its intra edges plus the clique D of all-pair global distances over its
+  * boundary B_i. That MDE needs no running: boundary vertices go last, so
+  * it eliminates the non-boundary vertices with the partition TD's bags
+  * and shortcuts (the clique touches only boundary-owned slots), and then
+  * eliminates B_i in overlay rank order with each slot's shortcut equal to
+  * D, which is exact. This is the tree/weight split of Customizable CH
+  * (Dibbelt, Strasser, Wagner, ACM JEA 2016). So `post` is one
+  * [[UpwardGraph]] over all n vertices: non-boundary rows are T*'s rows,
+  * and each B_i is a chain in overlay rank order whose rows hold D (only
+  * pairs with D < `Inf`: a B_i split across components is several chains).
+  * U4 writes the changed D entries into the chain rows and relabels below
+  * them and below the partition's changed non-boundary rows.
+  *
   * `stages` < 5 builds and maintains only the first `stages` of them; the
   * PSP baselines of [35] are this index stopped early: N-CH-P is
   * `stages = 2` (shortcut arrays only, no labels) and P-TD-P is
@@ -56,38 +75,34 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   val pr = SpatialPartitioner.partition(g, k)
   val part: Array[Int] = pr.part
   val boundary: Array[Boolean] = pr.boundary
+  /** `members(i)(l)`: the global id of partition i's local vertex l. */
+  val members: Array[Array[Int]] = pr.members
+  /** Each vertex's local id in its partition. */
+  val localId: Array[Int] = pr.localId
+  /** B_i in global ids, ascending. */
   val partBoundary: Array[Array[Int]] = Array.tabulate(k)(pr.boundaryOf)
+  private val partBoundaryLocal: Array[Array[Int]] = partBoundary.map(_.map(localId))
 
   private val edges = SpatialPartitioner.splitEdges(g, pr)
 
   // Index state (filled by build()).
+  /** Partition TDs and their indexes, in local ids. */
   var tdPart: Array[TD] = _
   var updPart: Array[ShortcutUpdater] = _
   var labPart: Array[H2HIndex] = _
   var tdOv: TD = _
   var updOv: ShortcutUpdater = _
   var labOv: H2HIndex = _
-  var tdPost: Array[TD] = _
-  var updPost: Array[ShortcutUpdater] = _
-  var labPost: Array[H2HIndex] = _
-  /** All-pair global boundary distances per partition: D(i)(a)(b). */
-  var dMat: Array[Array[Array[Int]]] = _
+  /** The post-boundary forest (global ids) and its labels. */
+  var post: UpwardGraph = _
+  var labPost: H2HIndex = _
   /** T*: parent (-1 for a root) and depth of every vertex. */
   var parentStar: Array[Int] = _
   var depthStar: Array[Int] = _
   var cross: CrossBoundary = _
   private var pchQuery: CHQuery = _
-
-  private def forcedOf(i: Int): Array[Boolean] = {
-    val f = new Array[Boolean](n)
-    partBoundary(i).foreach(f(_) = true)
-    f
-  }
-
-  private def computeD(i: Int): Array[Array[Int]] = {
-    val bs = partBoundary(i)
-    Array.tabulate(bs.length)(a => Array.tabulate(bs.length)(b => labOv.query(bs(a), bs(b))))
-  }
+  /** Global-id bag of each non-boundary vertex (null for boundary ones). */
+  private var bagGlobal: Array[Array[Int]] = _
 
   /** Steps 1–6 of §V-C; returns the wall seconds of five steps (ov_input,
     * overlay, partitions, post, cross), near zero for a skipped step.
@@ -100,7 +115,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     // Step 1+2 (optimized, Theorem 2): contract non-boundary per partition
     // to obtain the overlay input directly from the partition MDE.
     var ovEdges: Seq[(Int, Int, Int)] = null
-    timed { ovEdges = SpatialPartitioner.overlayEdges(g, pr, edges, threads) }
+    timed { ovEdges = SpatialPartitioner.overlayEdges(pr, edges, threads) }
     // Step 3: overlay graph + overlay MHL.
     timed {
       tdOv = MDE.decompose(n, ovEdges)
@@ -111,37 +126,54 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     timed {
       tdPart = new Array[TD](k); updPart = new Array[ShortcutUpdater](k)
       if (labels) labPart = new Array[H2HIndex](k)
+      bagGlobal = new Array[Array[Int]](n)
       Parallel.run((0 until k).map(i => () => {
-        tdPart(i) = MDE.decompose(n, edges.intra(i), forcedOf(i), tdOv.rank)
-        updPart(i) = new ShortcutUpdater(tdPart(i), boundary)
-        if (labels) { labPart(i) = new H2HIndex(tdPart(i)); labPart(i).build(); tdPart(i).buildLca() }
+        val ms = members(i)
+        val forced = Array.tabulate(ms.length)(l => boundary(ms(l)))
+        val td = MDE.decompose(ms.length, edges.intra(i), forced, Array.tabulate(ms.length)(l => tdOv.rank(ms(l))))
+        tdPart(i) = td
+        updPart(i) = new ShortcutUpdater(td, forced)
+        var l = 0
+        while (l < ms.length) { if (!forced(l)) bagGlobal(ms(l)) = td.bag(l).map(ms); l += 1 }
+        if (labels) { labPart(i) = new H2HIndex(td); labPart(i).build(); td.buildLca() }
       }), threads)
     }
-    // Steps 4+5: post-boundary extended partitions.
+    // Steps 4+5: the post-boundary forest over the extended partitions.
     timed {
       if (labels) {
-        dMat = new Array[Array[Array[Int]]](k)
-        tdPost = new Array[TD](k); updPost = new Array[ShortcutUpdater](k)
-        labPost = new Array[H2HIndex](k)
+        val parent = new Array[Int](n); val depth = new Array[Int](n)
+        val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
         Parallel.run((0 until k).map(i => () => {
-          dMat(i) = computeD(i)
-          tdPost(i) = MDE.decompose(n, extendedEdges(i), forcedOf(i), tdOv.rank)
-          updPost(i) = new ShortcutUpdater(tdPost(i))
-          labPost(i) = new H2HIndex(tdPost(i)); labPost(i).build()
-          tdPost(i).buildLca()
+          chainRows(i, parent, depth, bag, sc)
+          attachRows(i, parent, depth, bag, sc)
         }), threads)
+        post = new UpwardGraph(parent, depth, bag, sc)
+        labPost = new H2HIndex(post)
+        val height = post.height
+        val rootsBy = Array.fill(k)(new mutable.ArrayBuilder.ofInt)
+        post.roots.foreach(r => rootsBy(part(r)) += r)
+        Parallel.run((0 until k).map(i => () => {
+          val pathDis = new Array[Array[Int]](height)
+          rootsBy(i).result().foreach(labPost.walk(_, pathDis, _ => true)(labPost.computeDis(_, pathDis)))
+        }), threads)
+        post.buildLca()
       }
     }
     // Step 6: T* and cross-boundary aggregation.
     timed {
-      parentStar = Array.tabulate(n)(v => tdOf(v).parent(v))
-      // The overlay chain above a boundary vertex is its T* chain; a partition
-      // TD lists a vertex's T* parent, of higher rank, before the vertex.
-      depthStar = Array.tabulate(n)(v => if (boundary(v)) tdOv.depth(v) else -1)
-      for (i <- 0 until k; v <- tdPart(i).order.reverseIterator if !boundary(v) && part(v) == i)
-        depthStar(v) = if (parentStar(v) == -1) 0 else depthStar(parentStar(v)) + 1
-      val star = new UpwardGraph(parentStar, depthStar,
-        Array.tabulate(n)(v => tdOf(v).bag(v)), Array.tabulate(n)(v => tdOf(v).sc(v)))
+      parentStar = new Array[Int](n); depthStar = new Array[Int](n)
+      val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
+      // The overlay chain above a boundary vertex is its T* chain.
+      var v = 0
+      while (v < n) {
+        if (boundary(v)) {
+          parentStar(v) = tdOv.parent(v); depthStar(v) = tdOv.depth(v)
+          bag(v) = tdOv.bag(v); sc(v) = tdOv.sc(v)
+        }
+        v += 1
+      }
+      for (i <- 0 until k) attachRows(i, parentStar, depthStar, bag, sc)
+      val star = new UpwardGraph(parentStar, depthStar, bag, sc)
       pchQuery = new CHQuery(star)
       if (stages == 5) {
         cross = new CrossBoundary(k, boundary, part, labOv, star)
@@ -151,17 +183,51 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     times.toArray
   }
 
-  private def extendedEdges(i: Int): Seq[(Int, Int, Int)] = {
-    val bs = partBoundary(i)
-    val clique = for {
-      a <- bs.indices; b <- (a + 1) until bs.length
-      if dMat(i)(a)(b) < Inf
-    } yield (bs(a), bs(b), dMat(i)(a)(b))
-    edges.intra(i) ++ clique
+  /** B_i's rows of the post-boundary forest: in ascending overlay rank,
+    * each boundary vertex's bag is the later members it has a finite D to,
+    * by rank descending, with `sc` = D; its parent is the last of them.
+    */
+  private def chainRows(i: Int, parent: Array[Int], depth: Array[Int],
+                        bag: Array[Array[Int]], sc: Array[Array[Int]]): Unit = {
+    val bs = partBoundary(i).sortBy(tdOv.rank)
+    val bb = new Array[Int](bs.length); val sb = new Array[Int](bs.length)
+    var p = bs.length - 1
+    while (p >= 0) {
+      val b = bs(p)
+      var len = 0
+      var q = bs.length - 1
+      while (q > p) {
+        val d = labOv.query(b, bs(q))
+        if (d < Inf) { bb(len) = bs(q); sb(len) = d; len += 1 }
+        q -= 1
+      }
+      bag(b) = java.util.Arrays.copyOf(bb, len); sc(b) = java.util.Arrays.copyOf(sb, len)
+      parent(b) = if (len == 0) -1 else bb(len - 1)
+      depth(b) = if (parent(b) == -1) 0 else depth(parent(b)) + 1
+      p -= 1
+    }
   }
 
-  /** The TD that holds v's T* parent and bag rows. */
-  private def tdOf(v: Int): TD = if (boundary(v)) tdOv else tdPart(part(v))
+  /** Partition i's non-boundary rows of a tree whose boundary rows are
+    * set (T*, or the post-boundary forest): the partition parent, the
+    * global-id bag and the partition TD's `sc` row, aliased. Parents rank
+    * higher, so a walk down the rank order sets a parent's depth first.
+    */
+  private def attachRows(i: Int, parent: Array[Int], depth: Array[Int],
+                         bag: Array[Array[Int]], sc: Array[Array[Int]]): Unit = {
+    val td = tdPart(i); val ms = members(i)
+    var r = td.n - 1
+    while (r >= 0) {
+      val l = td.order(r); val v = ms(l)
+      if (!boundary(v)) {
+        val pl = td.parent(l)
+        parent(v) = if (pl == -1) -1 else ms(pl)
+        depth(v) = if (pl == -1) 0 else depth(parent(v)) + 1
+        bag(v) = bagGlobal(v); sc(v) = td.sc(l)
+      }
+      r -= 1
+    }
+  }
 
   // ------------------------------------------------------------------
   // Queries (stages 1-5)
@@ -173,42 +239,46 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   /** Q-Stage 2: partitioned CH query, a walk up T*. */
   def queryPCH(s: Int, t: Int): Int = pchQuery.query(s, t)
 
-  private def distVec(lab: H2HIndex, s: Int, bs: Array[Int]): Array[Int] =
-    bs.map(lab.query(s, _))
+  /** Distances from v to B_part(v) in its partition's no-boundary index. */
+  private def noBoundaryVec(v: Int): Array[Int] = {
+    val i = part(v); val lv = localId(v)
+    partBoundaryLocal(i).map(labPart(i).query(lv, _))
+  }
 
-  /** One side of a cross-partition concatenation: its hubs and their
-    * distances (a boundary endpoint is its own hub).
-    */
-  private def side(v: Int, lab: H2HIndex): (Array[Int], Array[Int]) =
-    if (boundary(v)) (Array(v), Array(0))
-    else { val bs = partBoundary(part(v)); (bs, distVec(lab, v, bs)) }
+  /** Distances from v to B_part(v) in the post-boundary index. */
+  private def postVec(v: Int): Array[Int] = partBoundary(part(v)).map(labPost.query(v, _))
 
   /** Q-Stage 3: no-boundary query with distance concatenation (§III-C). */
   def queryNoBoundary(s: Int, t: Int): Int = {
     if (s == t) return 0
     if (part(s) == part(t)) {
-      val lab = labPart(part(s)); val bs = partBoundary(part(s))
-      BoundaryLabels.concat(bs, distVec(lab, s, bs), bs, distVec(lab, t, bs), labOv, lab.query(s, t))
-    } else crossConcat(s, t, labPart(part(s)), labPart(part(t)))
+      val bs = partBoundary(part(s))
+      BoundaryLabels.concat(bs, noBoundaryVec(s), bs, noBoundaryVec(t), labOv,
+        labPart(part(s)).query(localId(s), localId(t)))
+    } else crossConcat(s, t, noBoundaryVec)
   }
 
-  /** Concatenated cross-partition query (cases of §III-C). */
-  private def crossConcat(s: Int, t: Int, labS: H2HIndex, labT: H2HIndex): Int = {
-    val (bsS, dsS) = side(s, labS); val (bsT, dsT) = side(t, labT)
-    BoundaryLabels.concat(bsS, dsS, bsT, dsT, labOv, Inf)
+  /** Concatenated cross-partition query (cases of §III-C): each side's
+    * hubs are B_part(v) at the distances `vec` gives, or the endpoint
+    * itself if it is a boundary vertex.
+    */
+  private def crossConcat(s: Int, t: Int, vec: Int => Array[Int]): Int = {
+    def hubs(v: Int) = if (boundary(v)) Array(v) else partBoundary(part(v))
+    def dists(v: Int) = if (boundary(v)) Array(0) else vec(v)
+    BoundaryLabels.concat(hubs(s), dists(s), hubs(t), dists(t), labOv, Inf)
   }
 
   /** Q-Stage 4: post-boundary query — same-partition via corrected L'_i. */
   def queryPostBoundary(s: Int, t: Int): Int = {
     if (s == t) return 0
-    if (part(s) == part(t)) labPost(part(s)).query(s, t)
-    else crossConcat(s, t, labPost(part(s)), labPost(part(t)))
+    if (part(s) == part(t)) labPost.query(s, t)
+    else crossConcat(s, t, postVec)
   }
 
   /** Q-Stage 5: cross-boundary 2-hop for cross-partition, L'_i otherwise. */
   def queryCrossBoundary(s: Int, t: Int): Int = {
     if (s == t) return 0
-    if (part(s) == part(t)) labPost(part(s)).query(s, t)
+    if (part(s) == part(t)) labPost.query(s, t)
     else cross.query(s, t)
   }
 
@@ -229,11 +299,11 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     batch.foreach { case (u, v, w) => g.setWeight(u, v, w) }
     mark(0)
 
-    // Classify.
+    // Classify; intra edges in their partition's local ids.
     val intraBy = Array.fill(k)(new mutable.ArrayBuffer[(Int, Int, Int)]())
     val inter = new mutable.ArrayBuffer[(Int, Int, Int)]()
-    batch.foreach { case e @ (u, v, _) =>
-      if (part(u) == part(v)) intraBy(part(u)) += e else inter += e
+    batch.foreach { case e @ (u, v, w) =>
+      if (part(u) == part(v)) intraBy(part(u)) += ((localId(u), localId(v), w)) else inter += e
     }
 
     // U-Stage 2: no-boundary shortcut update (partitions parallel, then overlay).
@@ -244,7 +314,8 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       val res = updPart(i).applyInputChanges(intraBy(i))
       partAffected(i) = res.affected
       partScTouched(i) = res.affected.nonEmpty
-      res.overlayChanges.foreach(ovSeedChanges.add)
+      val ms = members(i)
+      res.overlayChanges.foreach { case (a, b, w) => ovSeedChanges.add((ms(a), ms(b), w)) }
     }), threads)
     import scala.jdk.CollectionConverters._
     val ovChanges = inter.toSeq ++ ovSeedChanges.asScala.toSeq
@@ -255,51 +326,68 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     // U-Stage 3: no-boundary label update (partitions ∥ overlay).
     var changedOvLabels: Array[Int] = Array.emptyIntArray
     val labelTasks =
-      (0 until k).filter(i => partAffected(i) != null && partAffected(i).nonEmpty)
+      (0 until k).filter(partScTouched)
         .map(i => () => { labPart(i).updateSubtrees(partAffected(i)); () }) :+
       (() => { changedOvLabels = labOv.updateSubtrees(ovRes.affected); () })
     Parallel.run(labelTasks, threads)
+    val ovChanged = new Array[Boolean](n)
+    changedOvLabels.foreach(ovChanged(_) = true)
     mark(2)
 
-    // U-Stage 4: post-boundary index update.
-    val changedOvSet = changedOvLabels.toSet
-    Parallel.run((0 until k).filter(i =>
-        intraBy(i).nonEmpty || partBoundary(i).exists(changedOvSet.contains)
-      ).map(i => () => {
-      val newD = computeD(i)
-      val bs = partBoundary(i)
-      val seeds = new mutable.ArrayBuffer[(Int, Int, Int)]()
-      for (a <- bs.indices; b <- (a + 1) until bs.length
-           if newD(a)(b) != dMat(i)(a)(b) && (newD(a)(b) < Inf || dMat(i)(a)(b) < Inf))
-        seeds += ((bs(a), bs(b), newD(a)(b)))
-      dMat(i) = newD
-      // Intra changes where both endpoints are boundary are dominated by D.
-      intraBy(i).foreach { case e @ (u, v, _) =>
-        if (!(boundary(u) && boundary(v))) seeds += e
-      }
-      if (seeds.nonEmpty) {
-        val res = updPost(i).applyInputChanges(seeds)
-        labPost(i).updateSubtrees(res.affected)
-      }
-    }), threads)
+    // U-Stage 4: post-boundary index update. D can move only where an
+    // overlay label of B_i moved; the non-boundary rows alias the
+    // partition TDs', which U2 already brought up to date.
+    Parallel.run((0 until k).filter(i => partScTouched(i) || partBoundary(i).exists(b => ovChanged(b)))
+      .map(i => () => {
+        val affected = new mutable.ArrayBuilder.ofInt
+        refreshD(i, ovChanged, affected)
+        if (partScTouched(i)) {
+          val ms = members(i)
+          partAffected(i).foreach(l => if (!boundary(ms(l))) affected += ms(l))
+        }
+        val a = affected.result()
+        if (a.nonEmpty) labPost.updateSubtrees(a)
+      }), threads)
     mark(3)
 
     // U-Stage 5: cross-boundary index update.
     if (stages == 5) {
-      cross.update(partScTouched, changedOvLabels, threads)
+      cross.update(partScTouched, ovChanged, threads)
       mark(4)
     }
 
     StageTimes(times)
   }
 
-  /** Total index entries across the built components (|L| metric). */
+  /** Recompute D at B_i's chain slots whose overlay labels `ovChanged`
+    * marks (D is an overlay query, which reads only its endpoints' labels),
+    * write the entries that changed and add their rows to `affected`.
+    */
+  private def refreshD(i: Int, ovChanged: Array[Boolean], affected: mutable.ArrayBuilder.ofInt): Unit =
+    partBoundary(i).foreach { b =>
+      val bg = post.bag(b); val sc = post.sc(b)
+      var changed = false
+      var j = 0
+      while (j < bg.length) {
+        if (ovChanged(b) || ovChanged(bg(j))) {
+          val d = labOv.query(b, bg(j))
+          if (d != sc(j)) { sc(j) = d; changed = true }
+        }
+        j += 1
+      }
+      if (changed) affected += b
+    }
+
+  /** Total index entries across the built components (|L| metric): the
+    * shortcut slots of the overlay and partition TDs, the label entries of
+    * every index, and the post-boundary forest's chain slots; its other
+    * rows alias the partition TDs' and are counted there.
+    */
   def indexEntries: Long = {
     var s = tdOv.slotCount + tdPart.map(_.slotCount).sum
     if (labels) {
-      s += labOv.labelEntries
-      for (i <- 0 until k)
-        s += labPart(i).labelEntries + labPost(i).labelEntries + tdPost(i).slotCount
+      s += labOv.labelEntries + labPart.map(_.labelEntries).sum + labPost.labelEntries
+      partBoundary.foreach(_.foreach(b => s += post.bag(b).length))
     }
     if (stages == 5) s + cross.labelEntries else s
   }

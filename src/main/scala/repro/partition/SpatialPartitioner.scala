@@ -12,18 +12,37 @@ import repro.util.Parallel
   * @param boundary flags: vertex has a neighbor in another partition
   */
 final case class PartitionResult(k: Int, part: Array[Int], boundary: Array[Boolean]) {
-  /** Boundary vertex ids of partition i, ascending. */
-  def boundaryOf(i: Int): Array[Int] =
-    part.indices.filter(v => part(v) == i && boundary(v)).toArray
+  /** The vertices of each partition, ascending: `members(i)(l)` is the
+    * global id of partition i's local vertex l. One counting pass.
+    */
+  lazy val members: Array[Array[Int]] = {
+    val count = new Array[Int](k)
+    part.foreach(i => count(i) += 1)
+    val ms = count.map(new Array[Int](_))
+    java.util.Arrays.fill(count, 0)
+    var v = 0
+    while (v < part.length) { val i = part(v); ms(i)(count(i)) = v; count(i) += 1; v += 1 }
+    ms
+  }
 
-  /** All vertices of partition i. */
-  def verticesOf(i: Int): Array[Int] = part.indices.filter(part(_) == i).toArray
+  /** Each vertex's local id: its index in `members(part(v))`. */
+  lazy val localId: Array[Int] = {
+    val loc = new Array[Int](part.length)
+    members.foreach(ms => { var l = 0; while (l < ms.length) { loc(ms(l)) = l; l += 1 } })
+    loc
+  }
+
+  private lazy val boundaries: Array[Array[Int]] = members.map(_.filter(boundary))
+
+  /** Boundary vertex ids of partition i, ascending (a shared array). */
+  def boundaryOf(i: Int): Array[Int] = boundaries(i)
 
   def boundaryCount: Int = boundary.count(identity)
 }
 
 /** A graph's undirected edges split by a partition: `intra(i)` has both
-  * endpoints in partition i, `inter` has them in different partitions.
+  * endpoints in partition i, in its local ids ([[PartitionResult.localId]]);
+  * `inter` has them in different partitions, in global ids.
   */
 final case class EdgeSplit(intra: Array[IndexedSeq[(Int, Int, Int)]], inter: IndexedSeq[(Int, Int, Int)])
 
@@ -63,28 +82,41 @@ object SpatialPartitioner {
     PartitionResult(k, part, boundary)
   }
 
-  /** The undirected edges of g split by partition in one pass, each list
-    * in `g.undirectedEdges` order.
+  /** The undirected edges of g split by partition in one pass over its
+    * arcs, each list in `g.undirectedEdges` order; the intra edges are
+    * written in local ids.
     */
   def splitEdges(g: RoadGraph, pr: PartitionResult): EdgeSplit = {
+    val ids = pr.localId
     val intra = Array.fill(pr.k)(Vector.newBuilder[(Int, Int, Int)])
     val inter = Vector.newBuilder[(Int, Int, Int)]
-    g.undirectedEdges.foreach { e =>
-      val pu = pr.part(e._1)
-      if (pu == pr.part(e._2)) intra(pu) += e else inter += e
+    var u = 0
+    while (u < g.n) {
+      var a = g.off(u)
+      while (a < g.off(u + 1)) {
+        val x = g.dst(a)
+        if (u < x) {
+          val pu = pr.part(u)
+          if (pu != pr.part(x)) inter += ((u, x, g.w(a)))
+          else intra(pu) += ((ids(u), ids(x), g.w(a)))
+        }
+        a += 1
+      }
+      u += 1
     }
     EdgeSplit(intra.map(_.result()), inter.result())
   }
 
   /** Overlay graph input (Theorem 2): each partition's non-boundary
-    * vertices contracted out of its intra edges, in parallel, plus the
-    * inter edges. Distances between boundary vertices are exact.
+    * vertices contracted out of its intra edges in local ids, in parallel,
+    * plus the inter edges; all returned in global ids. Distances between
+    * boundary vertices are exact.
     */
-  def overlayEdges(g: RoadGraph, pr: PartitionResult, edges: EdgeSplit,
-                   threads: Int): Seq[(Int, Int, Int)] = {
+  def overlayEdges(pr: PartitionResult, edges: EdgeSplit, threads: Int): Seq[(Int, Int, Int)] = {
     val contracted = Parallel.map((0 until pr.k).toSeq, threads) { i =>
-      val contract = Array.tabulate(g.n)(v => pr.part(v) == i && !pr.boundary(v))
-      MDE.phase1(g.n, edges.intra(i), contract)
+      val ms = pr.members(i)
+      MDE.phase1(ms.length, edges.intra(i), Array.tabulate(ms.length)(l => !pr.boundary(ms(l))))
+        .map { case (u, x, w) => (ms(u), ms(x), w) }
     }
     contracted.flatten ++ edges.inter
   }

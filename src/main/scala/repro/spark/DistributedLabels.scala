@@ -47,7 +47,7 @@ object DistributedLabels {
     val pr = SpatialPartitioner.partition(g, k)
     val n = g.n
     val edges = SpatialPartitioner.splitEdges(g, pr)
-    val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(g, pr, edges, threads = 1))
+    val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(pr, edges, threads = 1))
     val labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca()
     val ovLabels = (0 until n).filter(pr.boundary).flatMap { b =>
       val chain = tdOv.ancestorChain(b)
@@ -56,8 +56,9 @@ object DistributedLabels {
     // Extended partition edges: intra + boundary clique from overlay queries.
     val rows = new mutable.ArrayBuffer[EdgeRow]()
     for (i <- 0 until k) {
-      val bs = pr.boundaryOf(i)
-      edges.intra(i).foreach { case (u, v, w) =>
+      val bs = pr.boundaryOf(i); val ms = pr.members(i)
+      edges.intra(i).foreach { case (lu, lv, w) =>
+        val u = ms(lu); val v = ms(lv)
         rows += EdgeRow(i, u, v, w, pr.boundary(u), pr.boundary(v))
       }
       for (a <- bs.indices; b <- (a + 1) until bs.length) {

@@ -1,8 +1,8 @@
 package repro.util
 
 /** Euler-tour + sparse-table LCA over an arbitrary forest: the LCA of
-  * every [[repro.core.h2h.UpwardGraph]] (each TD and PMHL's
-  * cross-boundary tree T*).
+  * every [[repro.core.h2h.UpwardGraph]] (each TD, and PMHL's
+  * cross-boundary tree T* and post-boundary forest).
   * O(n log n) build, O(1) query; -1 across components.
   */
 final class TreeLca(n: Int, parent: Array[Int], children: Array[Array[Int]],
@@ -22,8 +22,8 @@ final class TreeLca(n: Int, parent: Array[Int], children: Array[Array[Int]],
   }
   private val sparse: Array[Array[Int]] = table()
 
-  /** Iterative Euler tour of every tree, on primitive stacks (partition
-    * TDs hold one isolated root per placeholder vertex); returns its length.
+  /** Iterative Euler tour of every tree, on primitive stacks (a forest may
+    * hold many small trees); returns its length.
     */
   private def tour(): Int = {
     val stack = new Array[Int](math.max(n, 1))

@@ -10,9 +10,9 @@ import repro.core.sp.Dijkstra
 import repro.util.Parallel
 import scala.util.Random
 
-/** The CH-class query stages serve several threads at once: 4 threads share
-  * one built and updated index and query it while no maintenance runs, and
-  * every answer equals Dijkstra.
+/** The CH-class query stages and PMHL's no- and post-boundary stages serve
+  * several threads at once: 4 threads share one built and updated index and
+  * query it while no maintenance runs, and every answer equals Dijkstra.
   */
 class ConcurrentQuerySpec extends AnyFunSuite {
 
@@ -57,6 +57,18 @@ class ConcurrentQuerySpec extends AnyFunSuite {
       p.build()
       p.applyUpdateBatch(Datasets.updateBatch(g, 30, seed = 1205))
       hammer(g, p.queryPCH, s"PMHL($stages) PCH")
+    }
+  }
+
+  // Q3 reads the partitions' local-id indexes, Q4 the one post-boundary forest.
+  for (stages <- Seq(4, 5)) {
+    test(s"PMHL.queryNoBoundary and queryPostBoundary (stages = $stages) are exact under 4 concurrent query threads") {
+      val g = graph()
+      val p = new PMHL(g, 4, threads = 2, stages = stages)
+      p.build()
+      p.applyUpdateBatch(Datasets.updateBatch(g, 30, seed = 1206))
+      hammer(g, p.queryNoBoundary, s"PMHL($stages) no-boundary")
+      hammer(g, p.queryPostBoundary, s"PMHL($stages) post-boundary")
     }
   }
 }

@@ -23,7 +23,10 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
     val c = p.cross
     for (v <- 0 until g.n) {
       if (p.boundary(v)) assert(c.parentStar(v) == p.tdOv.parent(v))
-      else assert(c.parentStar(v) == p.tdPart(p.part(v)).parent(v))
+      else {
+        val pl = p.tdPart(p.part(v)).parent(p.localId(v))
+        assert(c.parentStar(v) == (if (pl == -1) -1 else p.members(p.part(v))(pl)))
+      }
     }
   }
 
@@ -114,15 +117,15 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
       }
       def check(ctx: String): Unit =
         for (v <- 0 until g.n) {
-          val tp = p.tdPart(p.part(v))
+          val tp = p.tdPart(p.part(v)); val ms = p.members(p.part(v)); val lv = p.localId(v)
           if (p.boundary(v)) {
-            for ((x, i) <- tp.bag(v).zipWithIndex) {
+            for ((x, i) <- tp.bag(lv).map(ms).zipWithIndex) {
               val j = p.tdOv.slotOf(v, x)
               assert(j >= 0, s"$ctx: partition bag member $x of boundary $v not in its overlay bag")
-              assert(p.tdOv.sc(v)(j) <= tp.sc(v)(i), s"$ctx: overlay sc($v,$x) above partition sc")
+              assert(p.tdOv.sc(v)(j) <= tp.sc(lv)(i), s"$ctx: overlay sc($v,$x) above partition sc")
             }
           } else {
-            for (x <- tp.bag(v))
+            for (x <- tp.bag(lv).map(ms))
               assert(isStarAncestor(x, v), s"$ctx: bag member $x of $v is not a T* ancestor")
           }
         }

@@ -171,7 +171,7 @@ class MDESpec extends AnyFunSuite {
     val g = GridGen.grid(6, 30, seed = 21)
     val pr = SpatialPartitioner.partition(g, 4)
     val edges = SpatialPartitioner.splitEdges(g, pr)
-    val intra = edges.intra
+    val intra = edges.intra.zip(pr.members).map { case (es, ms) => es.map { case (u, v, w) => (ms(u), ms(v), w) } }
     // the Theorem-2 overlay input: each partition contracted to its boundary
     val ovEdges = (0 until pr.k).flatMap { i =>
       val contract = Array.tabulate(g.n)(v => pr.part(v) == i && !pr.boundary(v))

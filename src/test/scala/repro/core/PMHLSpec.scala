@@ -85,15 +85,15 @@ class PMHLSpec extends AnyFunSuite {
     val p = new PMHL(g, 4, threads = 2)
     p.build()
     for (i <- 0 until 4) {
-      val vs = p.pr.verticesOf(i)
+      val vs = p.members(i)
       val (bs, ins) = vs.partition(p.boundary)
       if (bs.nonEmpty && ins.nonEmpty) {
-        val minB = bs.map(p.tdPart(i).rank).min
-        val maxI = ins.map(p.tdPart(i).rank).max
+        val minB = bs.map(v => p.tdPart(i).rank(p.localId(v))).min
+        val maxI = ins.map(v => p.tdPart(i).rank(p.localId(v))).max
         assert(maxI < minB, s"partition $i violates boundary-first")
       }
       // relative boundary order consistent with overlay order (Fig 5 cond 2)
-      val sortedByPart = bs.sortBy(p.tdPart(i).rank).toSeq
+      val sortedByPart = bs.sortBy(v => p.tdPart(i).rank(p.localId(v))).toSeq
       val sortedByOv = bs.sortBy(p.tdOv.rank).toSeq
       assert(sortedByPart == sortedByOv)
     }
@@ -109,9 +109,13 @@ class PMHLSpec extends AnyFunSuite {
       val b1 = allB(rnd.nextInt(allB.size)); val b2 = allB(rnd.nextInt(allB.size))
       assert(p.labOv.query(b1, b2) == Dijkstra.query(g, b1, b2), s"($b1,$b2)")
     }
-    // and D matrices store exact global distances
-    for (i <- 0 until 4; bs = p.partBoundary(i); a <- bs.indices; b <- bs.indices)
-      assert(p.dMat(i)(a)(b) == Dijkstra.query(g, bs(a), bs(b)))
+    // and the post-boundary chain rows store exact global distances (D),
+    // one slot for each higher-ranked member of B_i
+    for (i <- 0 until 4; b <- p.partBoundary(i)) {
+      val bag = p.post.bag(b)
+      for ((x, j) <- bag.zipWithIndex) assert(p.post.sc(b)(j) == Dijkstra.query(g, b, x), s"D($b,$x)")
+      assert(bag.toSet == p.partBoundary(i).filter(p.tdOv.rank(_) > p.tdOv.rank(b)).toSet, s"chain row of $b")
+    }
   }
 
   test("stage times are monotone and update keeps index consistent over many rounds") {

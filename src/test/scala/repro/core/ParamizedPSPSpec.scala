@@ -73,10 +73,12 @@ class ParamizedPSPSpec extends AnyFunSuite {
       edges.inter.foreach { case (u, v, _) =>
         assert(pr.part(u) != pr.part(v))
       }
-      for (i <- 0 until k)
+      for (i <- 0 until k) {
+        val ms = pr.members(i)
         edges.intra(i).foreach { case (u, v, _) =>
-          assert(pr.part(u) == i && pr.part(v) == i)
+          assert(pr.part(ms(u)) == i && pr.part(ms(v)) == i)
         }
+      }
     }
   }
 

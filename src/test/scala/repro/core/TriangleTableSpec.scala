@@ -52,17 +52,14 @@ class TriangleTableSpec extends AnyFunSuite {
       "fixed order")
   }
 
-  test("triangle tables of PMHL's global-id TDs with isolated placeholder vertices") {
+  test("triangle tables of PMHL's overlay TD and local-id partition TDs") {
     val g = GridGen.grid(6, 24, seed = 9)
     val p = new PMHL(g, 4, threads = 2)
     p.build()
     checkTriangles(p.tdOv, "overlay")
     for (i <- 0 until p.k) {
-      val td = p.tdPart(i)
-      assert((0 until g.n).exists(v => p.part(v) != i && td.bag(v).isEmpty && td.children(v).isEmpty),
-        s"partition $i has no isolated placeholder vertex")
+      assert(p.tdPart(i).n == p.members(i).length, s"partition $i TD is not in local ids")
       checkTriangles(p.tdPart(i), s"partition $i")
-      checkTriangles(p.tdPost(i), s"post-boundary $i")
     }
   }
 
