@@ -19,8 +19,9 @@ import scala.collection.mutable
   *
   * The recurrence ([[relax]] over a depth range) and the subtree [[walk]]
   * also serve PostMHL, whose index parts are depth ranges of one label
-  * array, and PMHL's `L*` ([[repro.core.pmhl.CrossBoundary]]), which walks
-  * only the non-boundary subtrees of T* and aliases the other rows.
+  * array, and PMHL's index over T* ([[repro.core.pmhl.PMHL]]), which walks
+  * its boundary rows (the overlay labels) and each partition's non-boundary
+  * subtrees (`L*`) as separate passes.
   */
 final class H2HIndex(val td: UpwardGraph) {
   import TD.Inf

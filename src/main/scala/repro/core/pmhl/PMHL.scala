@@ -18,10 +18,18 @@ final case class StageTimes(t: Array[Double]) {
 
 /** Partitioned Multi-stage Hub Labeling (§V).
   *
-  * Index components (Figure 6): per-partition no-boundary MHL
-  * (`tdPart`/`labPart`), overlay MHL (`tdOv`/`labOv`), the post-boundary
-  * forest over the extended partitions (`post`/`labPost`), and the
-  * cross-boundary index `L*` ([[CrossBoundary]]).
+  * Index components (Figure 6):
+  *  - per-partition no-boundary MHL (`tdPart`/`updPart`/`labPart`);
+  *  - the overlay shortcut arrays (`tdOv`/`updOv`);
+  *  - the cross-boundary tree T* (`parentStar`/`depthStar`) and its one
+  *    H2H index `labOv`: its boundary rows are the overlay labels, its
+  *    non-boundary rows (`stages = 5` only) the cross-boundary index `L*`;
+  *  - the post-boundary forest over the extended partitions
+  *    (`post`/`labPost`).
+  *
+  * Build steps: ov_input, overlay (`tdOv`, `updOv`), partitions, post (T*,
+  * its LCA and the boundary rows of `labOv`, then the post-boundary forest,
+  * whose chain rows read them), cross (the non-boundary rows of `labOv`).
   *
   * Each partition has its own vertex numbering: `tdPart(i)`, `updPart(i)`
   * and `labPart(i)` run over its n_i vertices in local ids (`localId`;
@@ -36,12 +44,15 @@ final case class StageTimes(t: Array[Double]) {
   * Query stages (Figure 7): 1 BiDijkstra → 2 PCH → 3 no-boundary →
   * 4 post-boundary → 5 cross-boundary (+post-boundary for same-partition).
   *
-  * The cross-boundary tree T* (`parentStar`/`depthStar`) is built once, for
-  * every `stages`, as one [[UpwardGraph]]: boundary vertices keep their
-  * overlay parents, the others their partition parents. PCH walks it
-  * ([[CHQuery]]) over the overlay rows of boundary vertices and the
-  * partition rows of the others, and [[CrossBoundary]] is an [[H2HIndex]]
-  * over the same tree and rows. The partitions' boundary rows are not
+  * The cross-boundary tree T* is built once, for every `stages`, as one
+  * [[UpwardGraph]]: boundary vertices keep their overlay parents, depths,
+  * bags and shortcuts, the others their partition parents. PCH walks it
+  * ([[CHQuery]]). Its boundary part is closed upward and is the overlay
+  * tree, so the H2H rows of T* at boundary vertices are the overlay labels
+  * and T*'s LCA of two boundary vertices is the overlay's (Lemma 2): one
+  * [[H2HIndex]] over T* serves the overlay queries of Q3, Q4 and D, and its
+  * non-boundary rows, walked down from each partition's attach roots, are
+  * `L*` (Algorithm 1, Theorem 3). The partitions' boundary rows are not
   * needed: a boundary vertex's partition bag is a subset of its overlay
   * bag (the overlay eliminates the same boundary order over a superset of
   * the edges), and in each shared slot the overlay shortcut is at most the
@@ -92,17 +103,29 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   var labPart: Array[H2HIndex] = _
   var tdOv: TD = _
   var updOv: ShortcutUpdater = _
+  /** T*: parent (-1 for a root) and depth of every vertex. */
+  var parentStar: Array[Int] = _
+  var depthStar: Array[Int] = _
+  private var star: UpwardGraph = _
+  /** H2H labels of T*: the overlay labels at boundary vertices, `L*` at
+    * the others (null rows below `stages = 5`).
+    */
   var labOv: H2HIndex = _
   /** The post-boundary forest (global ids) and its labels. */
   var post: UpwardGraph = _
   var labPost: H2HIndex = _
-  /** T*: parent (-1 for a root) and depth of every vertex. */
-  var parentStar: Array[Int] = _
-  var depthStar: Array[Int] = _
-  var cross: CrossBoundary = _
   private var pchQuery: CHQuery = _
   /** Global-id bag of each non-boundary vertex (null for boundary ones). */
   private var bagGlobal: Array[Array[Int]] = _
+  /** Per partition, the non-boundary vertices whose T* parent is a
+    * boundary vertex or none: the tops of its `L*` rows (`stages = 5`).
+    */
+  private var attachRoots: Array[Array[Int]] = _
+
+  /** `labOv` under the name the benchmark's cross-entry count reads; null
+    * below `stages = 5`.
+    */
+  def cross: H2HIndex = if (stages == 5) labOv else null
 
   /** Steps 1–6 of §V-C; returns the wall seconds of five steps (ov_input,
     * overlay, partitions, post, cross), near zero for a skipped step.
@@ -116,11 +139,10 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     // to obtain the overlay input directly from the partition MDE.
     var ovEdges: Seq[(Int, Int, Int)] = null
     timed { ovEdges = SpatialPartitioner.overlayEdges(pr, edges, threads) }
-    // Step 3: overlay graph + overlay MHL.
+    // Step 3: overlay graph + overlay shortcuts (its labels are T*'s).
     timed {
       tdOv = MDE.decompose(n, ovEdges)
       updOv = new ShortcutUpdater(tdOv)
-      if (labels) { labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca() }
     }
     // Step 1 (full): partition MHLs with overlay-consistent boundary order.
     timed {
@@ -138,9 +160,27 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         if (labels) { labPart(i) = new H2HIndex(td); labPart(i).build(); td.buildLca() }
       }), threads)
     }
-    // Steps 4+5: the post-boundary forest over the extended partitions.
+    // Steps 4+5: T* and its boundary labels, then the post-boundary forest
+    // over the extended partitions.
     timed {
+      parentStar = new Array[Int](n); depthStar = new Array[Int](n)
+      val bagStar = new Array[Array[Int]](n); val scStar = new Array[Array[Int]](n)
+      // The overlay chain above a boundary vertex is its T* chain.
+      var v = 0
+      while (v < n) {
+        if (boundary(v)) {
+          parentStar(v) = tdOv.parent(v); depthStar(v) = tdOv.depth(v)
+          bagStar(v) = tdOv.bag(v); scStar(v) = tdOv.sc(v)
+        }
+        v += 1
+      }
+      for (i <- 0 until k) attachRows(i, parentStar, depthStar, bagStar, scStar)
+      star = new UpwardGraph(parentStar, depthStar, bagStar, scStar)
+      pchQuery = new CHQuery(star)
       if (labels) {
+        star.buildLca()
+        labOv = new H2HIndex(star)
+        labelBoundary(star.roots.filter(boundary))
         val parent = new Array[Int](n); val depth = new Array[Int](n)
         val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
         Parallel.run((0 until k).map(i => () => {
@@ -159,28 +199,40 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         post.buildLca()
       }
     }
-    // Step 6: T* and cross-boundary aggregation.
+    // Step 6: cross-boundary labels, the non-boundary rows of T*.
     timed {
-      parentStar = new Array[Int](n); depthStar = new Array[Int](n)
-      val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
-      // The overlay chain above a boundary vertex is its T* chain.
-      var v = 0
-      while (v < n) {
-        if (boundary(v)) {
-          parentStar(v) = tdOv.parent(v); depthStar(v) = tdOv.depth(v)
-          bag(v) = tdOv.bag(v); sc(v) = tdOv.sc(v)
-        }
-        v += 1
-      }
-      for (i <- 0 until k) attachRows(i, parentStar, depthStar, bag, sc)
-      val star = new UpwardGraph(parentStar, depthStar, bag, sc)
-      pchQuery = new CHQuery(star)
       if (stages == 5) {
-        cross = new CrossBoundary(k, boundary, part, labOv, star)
-        cross.buildAll(threads)
+        val roots = Array.fill(k)(new mutable.ArrayBuilder.ofInt)
+        var v = 0
+        while (v < n) {
+          if (!boundary(v) && (parentStar(v) == -1 || boundary(parentStar(v)))) roots(part(v)) += v
+          v += 1
+        }
+        attachRoots = roots.map(_.result())
+        Parallel.run((0 until k).map(i => () => labelAttached(i)), threads)
       }
     }
     times.toArray
+  }
+
+  /** (Re)label the boundary rows of T* under `tops`, top-down, and return
+    * the vertices whose row changed.
+    */
+  private def labelBoundary(tops: Array[Int]): Array[Int] = {
+    val changed = new mutable.ArrayBuilder.ofInt
+    val pathDis = new Array[Array[Int]](star.height)
+    tops.foreach(labOv.walk(_, pathDis, boundary(_)) { v =>
+      val arr = labOv.computeDis(v, pathDis)
+      if (!java.util.Arrays.equals(arr, labOv.dis(v))) changed += v
+      arr
+    })
+    changed.result()
+  }
+
+  /** (Re)label partition i's `L*` rows: the T* subtrees of its attach roots. */
+  private def labelAttached(i: Int): Unit = {
+    val pathDis = new Array[Array[Int]](star.height)
+    attachRoots(i).foreach(labOv.walk(_, pathDis, _ => true)(labOv.computeDis(_, pathDis)))
   }
 
   /** B_i's rows of the post-boundary forest: in ascending overlay rank,
@@ -279,7 +331,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   def queryCrossBoundary(s: Int, t: Int): Int = {
     if (s == t) return 0
     if (part(s) == part(t)) labPost.query(s, t)
-    else cross.query(s, t)
+    else labOv.query(s, t)
   }
 
   // ------------------------------------------------------------------
@@ -323,12 +375,13 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     mark(1)
     if (!labels) return StageTimes(times)
 
-    // U-Stage 3: no-boundary label update (partitions ∥ overlay).
+    // U-Stage 3: no-boundary label update (partitions ∥ the boundary rows
+    // of T*, which are the overlay labels).
     var changedOvLabels: Array[Int] = Array.emptyIntArray
     val labelTasks =
       (0 until k).filter(partScTouched)
         .map(i => () => { labPart(i).updateSubtrees(partAffected(i)); () }) :+
-      (() => { changedOvLabels = labOv.updateSubtrees(ovRes.affected); () })
+      (() => { changedOvLabels = labelBoundary(star.subtreeTops(ovRes.affected)); () })
     Parallel.run(labelTasks, threads)
     val ovChanged = new Array[Boolean](n)
     changedOvLabels.foreach(ovChanged(_) = true)
@@ -350,9 +403,17 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       }), threads)
     mark(3)
 
-    // U-Stage 5: cross-boundary index update.
+    // U-Stage 5: cross-boundary index update. Partition i's `L*` rows read
+    // its own shortcuts and the boundary rows on the T* chains above its
+    // attach roots, so it is relabelled if either changed.
     if (stages == 5) {
-      cross.update(partScTouched, ovChanged, threads)
+      def chainChanged(r: Int): Boolean = {
+        var a = parentStar(r)
+        while (a != -1) { if (ovChanged(a)) return true; a = parentStar(a) }
+        false
+      }
+      Parallel.run((0 until k).filter(i => partScTouched(i) || attachRoots(i).exists(chainChanged))
+        .map(i => () => labelAttached(i)), threads)
       mark(4)
     }
 
@@ -380,8 +441,9 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
 
   /** Total index entries across the built components (|L| metric): the
     * shortcut slots of the overlay and partition TDs, the label entries of
-    * every index, and the post-boundary forest's chain slots; its other
-    * rows alias the partition TDs' and are counted there.
+    * every index (T*'s counts the overlay labels and `L*`), and the
+    * post-boundary forest's chain slots; its other rows alias the partition
+    * TDs' and are counted there.
     */
   def indexEntries: Long = {
     var s = tdOv.slotCount + tdPart.map(_.slotCount).sum
@@ -389,6 +451,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       s += labOv.labelEntries + labPart.map(_.labelEntries).sum + labPost.labelEntries
       partBoundary.foreach(_.foreach(b => s += post.bag(b).length))
     }
-    if (stages == 5) s + cross.labelEntries else s
+    s
   }
 }

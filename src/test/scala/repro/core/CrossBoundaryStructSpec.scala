@@ -2,12 +2,13 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{Datasets, GridGen}
+import repro.core.h2h.H2HIndex
 import repro.core.pmhl.PMHL
 import repro.core.sp.Dijkstra
 import scala.util.Random
 
 /** Structural invariants of the PMHL cross-boundary tree T* (Algorithm 1)
-  * beyond query exactness.
+  * and its one H2H index `labOv` beyond query exactness.
   */
 class CrossBoundaryStructSpec extends AnyFunSuite {
 
@@ -20,38 +21,35 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
 
   test("T* parents: overlay vertices keep overlay parents, others partition parents") {
     val (p, g) = build()
-    val c = p.cross
     for (v <- 0 until g.n) {
-      if (p.boundary(v)) assert(c.parentStar(v) == p.tdOv.parent(v))
+      if (p.boundary(v)) assert(p.parentStar(v) == p.tdOv.parent(v))
       else {
         val pl = p.tdPart(p.part(v)).parent(p.localId(v))
-        assert(c.parentStar(v) == (if (pl == -1) -1 else p.members(p.part(v))(pl)))
+        assert(p.parentStar(v) == (if (pl == -1) -1 else p.members(p.part(v))(pl)))
       }
     }
   }
 
   test("T* depths consistent with parents and overlay depths") {
     val (p, g) = build()
-    val c = p.cross
     for (v <- 0 until g.n) {
-      if (c.parentStar(v) == -1) assert(c.depthStar(v) == 0)
-      else assert(c.depthStar(v) == c.depthStar(c.parentStar(v)) + 1)
-      if (p.boundary(v)) assert(c.depthStar(v) == p.tdOv.depth(v))
+      if (p.parentStar(v) == -1) assert(p.depthStar(v) == 0)
+      else assert(p.depthStar(v) == p.depthStar(p.parentStar(v)) + 1)
+      if (p.boundary(v)) assert(p.depthStar(v) == p.tdOv.depth(v))
     }
   }
 
   test("cross labels store exact global distances to T* ancestors") {
     val (p, g) = build()
-    val c = p.cross
     def check(ctx: String): Unit =
       for (v <- 0 until g.n if !p.boundary(v)) {
-        val ds = c.disStarOf(v)
+        val ds = p.labOv.dis(v)
         val truth = Dijkstra.sssp(g, v)
         // walk the ancestor chain via parentStar
         var x = v
         while (x != -1) {
-          assert(ds(c.depthStar(x)) == truth(x), s"$ctx: dis*($v -> $x)")
-          x = c.parentStar(x)
+          assert(ds(p.depthStar(x)) == truth(x), s"$ctx: dis*($v -> $x)")
+          x = p.parentStar(x)
         }
       }
     check("build")
@@ -65,7 +63,6 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
     val g = GridGen.grid(6, 22, seed = 601)
     val p = new PMHL(g, 4, threads = 2)
     p.build()
-    val c = p.cross
     val rnd = new Random(605)
     var samePart = 0; var nonBoundaryLca = 0
     def check(ctx: String): Unit =
@@ -77,9 +74,9 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
           ms(rnd.nextInt(ms.size))
         }
         if (p.part(s) == p.part(t)) samePart += 1
-        val a = c.lcaStar.lca(s, t)
+        val a = p.labOv.td.lca(s, t)
         if (a != -1 && a != s && a != t && !p.boundary(a)) nonBoundaryLca += 1
-        assert(c.query(s, t) == Dijkstra.query(g, s, t), s"$ctx: cross.query($s, $t)")
+        assert(p.labOv.query(s, t) == Dijkstra.query(g, s, t), s"$ctx: labOv.query($s, $t)")
       }
     check("build")
     for (r <- 1 to 3) {
@@ -92,13 +89,12 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
 
   test("LCA of cross-partition pairs is always an overlay vertex") {
     val (p, g) = build()
-    val c = p.cross
     val rnd = new Random(604)
     var checked = 0
     for (_ <- 1 to 300 if checked < 100) {
       val s = rnd.nextInt(g.n); val t = rnd.nextInt(g.n)
       if (p.part(s) != p.part(t)) {
-        val a = c.lcaStar.lca(s, t)
+        val a = p.labOv.td.lca(s, t)
         if (a != -1) { assert(p.boundary(a), s"LCA($s,$t)=$a not overlay"); checked += 1 }
       }
     }
@@ -137,16 +133,49 @@ class CrossBoundaryStructSpec extends AnyFunSuite {
     }
   }
 
-  test("overlay vertices read through to the live overlay labels") {
-    val (p, g) = build()
-    val c = p.cross
-    def check(ctx: String): Unit =
-      for (b <- 0 until g.n if p.boundary(b))
-        assert(c.disStarOf(b) eq p.labOv.dis(b), s"$ctx: dis*($b) is not the overlay row")
-    check("build")
+  for (stages <- Seq(4, 5)) {
+    test(s"boundary rows of labOv are the overlay labels (Lemma 2, stages = $stages)") {
+      val g = GridGen.grid(6, 22, seed = 601)
+      val p = new PMHL(g, 4, threads = 2, stages = stages)
+      p.build()
+      def check(ctx: String): Unit = {
+        // tdOv's shortcut arrays are kept current by U2.
+        val fresh = new H2HIndex(p.tdOv); fresh.build()
+        for (v <- 0 until g.n) {
+          if (p.boundary(v))
+            assert(java.util.Arrays.equals(p.labOv.dis(v), fresh.dis(v)), s"$ctx: boundary row $v")
+          else if (stages == 4) assert(p.labOv.dis(v) == null, s"$ctx: non-boundary row $v")
+        }
+        if (stages == 4) assert(p.cross == null)
+      }
+      check("build")
+      for (r <- 1 to 3) {
+        p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 640 + r))
+        check(s"batch $r")
+      }
+    }
+  }
+
+  test("U5 relabels partitions whose attach chains changed although their shortcuts did not") {
+    val g = GridGen.grid(6, 22, seed = 601)
+    val p = new PMHL(g, 4, threads = 2)
+    p.build()
+    val inter = g.undirectedEdges.filter { case (u, v, _) => p.part(u) != p.part(v) }
+    val rnd = new Random(650)
     for (r <- 1 to 3) {
-      p.applyUpdateBatch(Datasets.updateBatch(g, 20, seed = 640 + r))
-      check(s"batch $r")
+      // Inter-partition edges only: no partition's shortcuts change in U2.
+      val batch = rnd.shuffle(inter).take(10).map { case (u, v, _) =>
+        val w = g.weight(u, v)
+        (u, v, if (rnd.nextBoolean()) math.max(1, w / 2) else math.min(w.toLong * 2, g.maxWeight).toInt)
+      }
+      val before = p.labOv.dis.clone()
+      p.applyUpdateBatch(batch)
+      val fresh = new PMHL(g.copyWeights(), 4, threads = 2)
+      fresh.build()
+      assert((0 until g.n).exists(v => !p.boundary(v) && !java.util.Arrays.equals(before(v), fresh.labOv.dis(v))),
+        s"batch $r moved no cross-boundary row")
+      for (v <- 0 until g.n)
+        assert(java.util.Arrays.equals(p.labOv.dis(v), fresh.labOv.dis(v)), s"batch $r: row $v")
     }
   }
 }
