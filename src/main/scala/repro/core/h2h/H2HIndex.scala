@@ -17,11 +17,12 @@ import scala.collection.mutable
   * pass, which recomputes only the entries a changed shortcut or a changed
   * entry above can reach; otherwise the subtree pass recomputes every row.
   *
-  * The recurrence ([[relax]] over a depth range) and the subtree [[walk]]
-  * also serve PostMHL, whose index parts are depth ranges of one label
-  * array, and PMHL's index over T* ([[repro.core.pmhl.PMHL]]), which walks
-  * its boundary rows (the overlay labels) and each partition's non-boundary
-  * subtrees (`L*`) as separate passes.
+  * The recurrence ([[relax]] over a depth range, [[relaxAt]] over a list
+  * of depths) and the subtree [[walk]] also serve PostMHL, whose index
+  * parts are depth sets of one label array, and PMHL's index over T*
+  * ([[repro.core.pmhl.PMHL]]), which walks its boundary rows (the overlay
+  * labels) and each partition's non-boundary subtrees (`L*`) as separate
+  * passes.
   */
 final class H2HIndex(val td: UpwardGraph) {
   import TD.Inf
@@ -45,6 +46,31 @@ final class H2HIndex(val td: UpwardGraph) {
     val bg = td.bag(v); val sv = td.sc(v)
     var i = 0
     while (i < bg.length) { H2HIndex.relaxMember(sv(i), td.depth(bg(i)), pathDis, lo, hi, arr); i += 1 }
+  }
+
+  /** The H2H recurrence at the listed `depths` only (ascending, each below
+    * v's depth): `arr(j)` becomes the same minimum as in [[relax]], for j in
+    * `depths`; other entries are left alone. A member deeper than every
+    * listed depth contributes a gather from its one row.
+    */
+  private[core] def relaxAt(v: Int, pathDis: Array[Array[Int]], depths: Array[Int],
+                            arr: Array[Int]): Unit = {
+    var p = 0
+    while (p < depths.length) { arr(depths(p)) = Inf; p += 1 }
+    val bg = td.bag(v); val sv = td.sc(v)
+    var i = 0
+    while (i < bg.length) {
+      val sc = sv(i); val dx = td.depth(bg(i)); val disx = pathDis(dx)
+      var above = depths.length
+      if (above > 0 && depths(above - 1) >= dx) { above = 0; while (depths(above) < dx) above += 1 }
+      p = 0
+      while (p < above) { val j = depths(p); val cand = sc + disx(j); if (cand < arr(j)) arr(j) = cand; p += 1 }
+      if (p < depths.length && depths(p) == dx) { if (sc < arr(dx)) arr(dx) = sc; p += 1 }
+      while (p < depths.length) {
+        val j = depths(p); val cand = sc + pathDis(j)(dx); if (cand < arr(j)) arr(j) = cand; p += 1
+      }
+      i += 1
+    }
   }
 
   /** The label of `v` from its bag's shortcuts and `pathDis(j)`, the label

@@ -15,18 +15,20 @@ import repro.util.Parallel
   *    partition i is `X(roots(i)).N` (all overlay vertices);
   *  - the **overlay index** is the H2H labels of the overlay vertices
   *    (upward-closed, self-contained);
-  *  - the **post-boundary index** of partition i is the boundary arrays
-  *    `disB(v)` (global distances to X(root).N) plus the distance-array
-  *    entries to in-partition ancestors, built per Algorithm 4 so it needs
-  *    only the overlay index: X(root).N lies on the root's ancestor chain,
-  *    so the boundary all-pair map D is read off the overlay labels;
-  *  - the **cross-boundary index** is the entries to overlay ancestors.
+  *  - the **post-boundary index** of partition i is the label entries of
+  *    its vertices at the boundary depths (global distances to X(root).N,
+  *    which lies on the root's ancestor chain) and at the in-partition
+  *    depths, built per Algorithm 4 so it needs only the overlay index;
+  *  - the **cross-boundary index** is the entries at the other overlay
+  *    depths.
   *
   * The assembled `dis` arrays are exactly the H2H labels of `td` (tested),
   * which is the Remark-2 claim that PostMHL reaches DH2H query efficiency:
   * they live in an [[H2HIndex]], whose query serves the overlay and the
   * final stage. The three parts are depth ranges of that one label array,
-  * each computed by its recurrence and top-down walk.
+  * each computed by its recurrence and top-down walk, and each entry has
+  * one writer: U3 the overlay rows, U4 the boundary and in-partition
+  * depths, U5 the rest.
   *
   * Stages (Figure 9): U1 edge → U2 shortcuts (partition sweeps in
   * parallel, then one overlay sweep) → U3 overlay labels → U4 post-boundary ∥
@@ -50,16 +52,14 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     * the root's ancestor chain in ascending depth.
     */
   val partB: Array[Array[Int]] = roots.map(v => td.bag(v))
+  /** The depths of `partB(i)`, ascending. */
+  private val partDepth: Array[Array[Int]] = partB.map(_.map(td.depth))
 
   /** H2H labels of `td`, assembled by stage: overlay entries for overlay
     * vertices, split post/cross ranges for in-partition vertices.
     */
   val labels = new H2HIndex(td)
   val dis: Array[Array[Int]] = labels.dis
-  /** Boundary arrays of in-partition vertices. */
-  val disB: Array[Array[Int]] = new Array[Array[Int]](n)
-  /** Boundary slots of in-partition vertices' bag members (indices into `partB`). */
-  private val slots = BoundaryLabels.slotTable(n, partB, partOf, td.bag)
 
   private val chQ = new CHQuery(UpwardGraph.fromTD(td))
 
@@ -88,28 +88,20 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   }
 
   /** Post-boundary pass (Algorithm 4 lines 5-31) over the subtrees of
-    * `tops` in partition i. The boundary all-pair map D comes from the
-    * current overlay labels: partB(i) is in ascending depth, so for a < b,
-    * `D(a)(b)` is the label of bs(b) at the depth of its ancestor bs(a).
-    * As partB(i) are ancestors of v, `disB(v)` is also v's label at their
-    * depths; written there first, it is what the H2H recurrence over the
-    * in-partition depths [du, dv) reads for a boundary member.
+    * `tops` in partition i: the H2H recurrence at the boundary depths
+    * `partDepth(i)`, then over the in-partition depths [du, dv). Every
+    * term it reads is an overlay label (the boundary lies on the root's
+    * ancestor chain) or a row of an in-partition ancestor, filled earlier
+    * in the walk, so it needs no cross entry.
     */
   private def buildPost(i: Int, tops: Array[Int]): Unit = {
-    val bs = partB(i); val du = td.depth(roots(i))
-    val bDepth = bs.map(td.depth)
-    val d = Array.tabulate(bs.length, bs.length) { (a, b) =>
-      if (a < b) dis(bs(b))(bDepth(a)) else if (a > b) dis(bs(a))(bDepth(b)) else 0
-    }
+    val bd = partDepth(i); val du = td.depth(roots(i))
     val pathDis = new Array[Array[Int]](td.height)
     for (top <- tops) labels.walk(top, pathDis, _ => true) { v =>
       val dv = td.depth(v)
-      val b = BoundaryLabels.boundaryArray(td.bag(v), td.sc(v), slots(v), d, disB)
-      disB(v) = b
       val arr = if (dis(v) != null) dis(v)
                 else { val a = new Array[Int](dv + 1); java.util.Arrays.fill(a, 0, dv, Inf); a }
-      var p = 0
-      while (p < bs.length) { arr(bDepth(p)) = b(p); p += 1 }
+      labels.relaxAt(v, pathDis, bd, arr)
       labels.relax(v, pathDis, du, dv, arr)
       arr
     }
@@ -117,13 +109,21 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
 
   /** Cross-boundary pass: the labels at the overlay depths [0, du) — the
     * H2H recurrence again (everything it reads is overlay labels or
-    * earlier cross entries in the same partition).
+    * earlier cross entries in the same partition). It relaxes into a
+    * scratch row, takes U4's entries at the boundary depths into it, and
+    * copies it back in one pass, so the boundary entries keep U4's values.
     */
   private def buildCross(i: Int, tops: Array[Int]): Unit = {
-    val du = td.depth(roots(i))
+    val bd = partDepth(i); val du = td.depth(roots(i))
+    val row = new Array[Int](du)
     val pathDis = new Array[Array[Int]](td.height)
     for (top <- tops) labels.walk(top, pathDis, _ => true) { v =>
-      labels.relax(v, pathDis, 0, du, dis(v)); dis(v)
+      val arr = dis(v)
+      labels.relax(v, pathDis, 0, du, row)
+      var p = 0
+      while (p < bd.length) { row(bd(p)) = arr(bd(p)); p += 1 }
+      System.arraycopy(row, 0, arr, 0, du)
+      arr
     }
   }
 
@@ -138,8 +138,9 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   /** Q-Stage 3: post-boundary query — both overlay or same-partition via
     * the H2H query; cross-partition via boundary concatenation over the
     * overlay index. A same-partition pair's hubs are in-partition vertices
-    * or, by running intersection, overlay members of `partB(i)`, whose
-    * depths U4 has written, so the H2H query reads no cross entry.
+    * or, by running intersection, overlay members of `partB(i)`, so the
+    * H2H query reads only depths U4 writes. A cross-partition endpoint's
+    * hub distances are its label at those depths, gathered per call.
     */
   def queryPost(s: Int, t: Int): Int = {
     if (s == t) return 0
@@ -147,10 +148,19 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     if (ps == pt) return labels.query(s, t)
     // cross-partition (or one endpoint overlay): boundary concatenation
     val (bsS, dsS) =
-      if (ps == -1) (Array(s), Array(0)) else (partB(ps), disB(s))
+      if (ps == -1) (Array(s), Array(0)) else (partB(ps), boundaryDis(s, ps))
     val (bsT, dsT) =
-      if (pt == -1) (Array(t), Array(0)) else (partB(pt), disB(t))
+      if (pt == -1) (Array(t), Array(0)) else (partB(pt), boundaryDis(t, pt))
     BoundaryLabels.concat(bsS, dsS, bsT, dsT, labels, Inf)
+  }
+
+  /** The label of `v`, in partition i, at the depths of `partB(i)`. */
+  private def boundaryDis(v: Int, i: Int): Array[Int] = {
+    val bd = partDepth(i); val row = dis(v)
+    val a = new Array[Int](bd.length)
+    var p = 0
+    while (p < bd.length) { a(p) = row(bd(p)); p += 1 }
+    a
   }
 
   /** Q-Stage 4: full H2H query (cross-boundary; DH2H-equivalent). */
@@ -190,16 +200,16 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     // U3: overlay label update from the highest affected overlay vertices.
     //
     // Because PostMHL's dis arrays ARE the H2H labels of the global tree,
-    // a label (overlay, post, or cross entry — and disB, which duplicates
-    // cross entries at boundary depths) can only change inside the subtree
-    // of a shortcut-affected vertex. So the update scope below is exactly
-    // DH2H's, split into the paper's partition-parallel stages:
+    // a label entry (overlay, post or cross) can only change inside the
+    // subtree of a shortcut-affected vertex. So the update scope below is
+    // exactly DH2H's, split into the paper's partition-parallel stages:
     //  - a partition whose root lies under an affected *overlay* top is
     //    rebuilt fully;
     //  - otherwise only the subtrees of its own affected vertices rerun;
-    //  - untouched partitions are skipped entirely (their D cannot have
-    //    changed: a changed label of b ∈ B_i implies an affected overlay
-    //    top above b, hence above the root — the full-rebuild case).
+    //  - untouched partitions are skipped entirely (the boundary labels
+    //    their U4 reads cannot have changed: a changed label of b ∈ B_i
+    //    implies an affected overlay top above b, hence above the root —
+    //    the full-rebuild case).
     val ovTops: Array[Int] = td.subtreeTops(ovRes.affected)
     buildOverlay(ovTops)
     mark(2)
@@ -212,7 +222,8 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
       hit
     }
 
-    // U4: post-boundary update (partition-parallel); U5 redoes the same tops.
+    // U4: post-boundary update (partition-parallel); U5 redoes the same
+    // tops at the other depths.
     val tops = new Array[Array[Int]](k)
     Parallel.run((0 until k).filter(i =>
         fullRebuild(i) || (affectedByPart(i) != null && affectedByPart(i).nonEmpty)
@@ -229,13 +240,8 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     StageTimes(times)
   }
 
-  /** Total index entries: labels + boundary arrays + shortcut slots. */
-  def indexEntries: Long = {
-    var s = td.slotCount + labels.labelEntries
-    var v = 0
-    while (v < n) { if (disB(v) != null) s += disB(v).length; v += 1 }
-    s
-  }
+  /** Total index entries: labels + shortcut slots. */
+  def indexEntries: Long = td.slotCount + labels.labelEntries
 
   /** Overlay vertex count (Exp 8 reports it when sweeping τ). */
   def overlayCount: Int = tdp.overlayCount

@@ -20,42 +20,31 @@ final case class TDPartition(k: Int, partOf: Array[Int], roots: Array[Int]) {
   * use of Theorem 1). Root candidates are tree nodes whose subtree size is
   * within [βl·|V|/ke, βu·|V|/ke] and whose bag is within the bandwidth τ;
   * the minimum-overlay strategy then greedily picks candidates top-down
-  * (highest rank first) so no chosen root is an ancestor of another.
+  * (highest rank first) so no chosen root is an ancestor of another. The
+  * partition of a root is the root and all its descendants.
   */
 object TDPartitioner {
 
   def partition(td: TD, tau: Int, ke: Int,
                 betaL: Double = 0.1, betaU: Double = 2.0): TDPartition = {
     val n = td.n
-    // Subtree sizes, bottom-up (ascending rank = children before parents).
-    val cN = Array.fill(n)(1)
-    for (r <- 0 until n) {
-      val v = td.order(r)
-      if (td.parent(v) != -1) cN(td.parent(v)) += cN(v)
-    }
+    val size = td.subtreeSize
     val lo = betaL * n / ke
     val hi = betaU * n / ke
-    // Candidates in decreasing vertex order.
-    val vc = (n - 1 to 0 by -1).map(td.order)
-      .filter(v => cN(v) >= lo && cN(v) <= hi && td.bag(v).length <= tau)
-    // Minimum-overlay greedy: keep v unless a chosen root is its ancestor.
-    val chosen = new mutable.HashSet[Int]()
-    val rootsBuf = new mutable.ArrayBuffer[Int]()
-    for (v <- vc) {
-      var a = td.parent(v); var blocked = false
-      while (a != -1 && !blocked) { if (chosen.contains(a)) blocked = true; a = td.parent(a) }
-      if (!blocked) { chosen += v; rootsBuf += v }
-    }
+    // One pass in decreasing rank (parents before children): a vertex under
+    // a chosen root joins its partition; any other candidate becomes a root.
     val partOf = Array.fill(n)(-1)
-    for ((r, i) <- rootsBuf.zipWithIndex) {
-      val stack = new java.util.ArrayDeque[Integer]()
-      stack.push(r)
-      while (!stack.isEmpty) {
-        val v = stack.pop().intValue()
-        partOf(v) = i
-        td.children(v).foreach(stack.push(_))
+    val roots = new mutable.ArrayBuilder.ofInt
+    var k = 0
+    var r = n - 1
+    while (r >= 0) {
+      val v = td.order(r); val p = td.parent(v)
+      if (p != -1 && partOf(p) != -1) partOf(v) = partOf(p)
+      else if (size(v) >= lo && size(v) <= hi && td.bag(v).length <= tau) {
+        partOf(v) = k; roots += v; k += 1
       }
+      r -= 1
     }
-    TDPartition(rootsBuf.size, partOf, rootsBuf.toArray)
+    TDPartition(k, partOf, roots.result())
   }
 }

@@ -70,26 +70,25 @@ object DistributedLabels {
   }
 
   /** Executor kernel: boundary-first MDE + H2H over one extended partition,
-    * emitting flat labels of its non-boundary vertices.
+    * emitting flat labels of its non-boundary vertices. The group's vertices
+    * are renumbered to local ids in ascending global id (so MDE breaks ties
+    * as it would on global ids), and the labels are emitted in global ids.
     */
-  def buildPartitionLabels(n: Int, rows: Iterator[EdgeRow]): Iterator[LabelRow] = {
-    val edges = new mutable.ArrayBuffer[(Int, Int, Int)]()
-    val bound = new mutable.HashSet[Int]()
-    rows.foreach { r =>
-      edges += ((r.u, r.v, r.w))
-      if (r.uBound) bound += r.u
-      if (r.vBound) bound += r.v
+  def buildPartitionLabels(rows: Iterator[EdgeRow]): Iterator[LabelRow] = {
+    val rs = rows.toArray
+    if (rs.isEmpty) return Iterator.empty
+    val ids = rs.flatMap(r => Array(r.u, r.v)).distinct.sorted
+    def local(v: Int): Int = java.util.Arrays.binarySearch(ids, v)
+    val forced = new Array[Boolean](ids.length)
+    rs.foreach { r =>
+      if (r.uBound) forced(local(r.u)) = true
+      if (r.vBound) forced(local(r.v)) = true
     }
-    if (edges.isEmpty) return Iterator.empty
-    val forced = new Array[Boolean](n)
-    bound.foreach(forced(_) = true)
-    val td = MDE.decompose(n, edges, forcedLast = forced)
+    val td = MDE.decompose(ids.length, rs.map(r => (local(r.u), local(r.v), r.w)), forcedLast = forced)
     val lab = new H2HIndex(td); lab.build()
-    val present = new Array[Boolean](n)
-    edges.foreach { case (u, v, _) => present(u) = true; present(v) = true }
-    (0 until n).iterator.filter(v => present(v) && !forced(v)).flatMap { v =>
-      val chain = td.ancestorChain(v)
-      chain.indices.map(j => LabelRow(v, chain(j), lab.dis(v)(j)))
+    ids.indices.iterator.filter(!forced(_)).flatMap { l =>
+      val chain = td.ancestorChain(l)
+      chain.indices.map(j => LabelRow(ids(l), ids(chain(j)), lab.dis(l)(j)))
     }
   }
 
@@ -104,7 +103,7 @@ object DistributedLabels {
     // Fan out: one Spark task per partition builds that partition's labels.
     val partLabels: Dataset[LabelRow] = edgeDs
       .groupByKey(_.part)
-      .flatMapGroups((_: Int, rows: Iterator[EdgeRow]) => buildPartitionLabels(n, rows))
+      .flatMapGroups((_: Int, rows: Iterator[EdgeRow]) => buildPartitionLabels(rows))
     val ovLabels = spark.createDataset(prep.overlayLabels)
     val boundarySet = (0 until n).filter(prep.pr.boundary).toSet
     val isBoundary = udf((v: Int) => boundarySet.contains(v))

@@ -7,9 +7,11 @@ import repro.core.h2h.{BoundaryLabels, H2HIndex}
 import repro.core.sp.Dijkstra
 import scala.util.Random
 
-/** The post-boundary kernels against brute-force minima on random
-  * small inputs, including `Inf` entries, one-element sides, empty
-  * boundary lists and starting bounds below every candidate.
+/** The post-boundary kernels on random small inputs: the boundary
+  * concatenation against brute-force minima (including `Inf` entries,
+  * one-element sides, empty boundary lists and starting bounds below every
+  * candidate), and the H2H recurrence at a list of depths, which PostMHL's
+  * post-boundary pass runs at the boundary depths, against the full row.
   */
 class BoundaryLabelsSpec extends AnyFunSuite {
   import TD.Inf
@@ -42,20 +44,25 @@ class BoundaryLabelsSpec extends AnyFunSuite {
     }
   }
 
-  test("boundaryArray equals the brute-force recurrence") {
+  test("relaxAt equals computeDis at random depth subsets") {
     val rnd = new Random(703)
-    for (trial <- 1 to 400) {
-      val nb = rnd.nextInt(5) // 0: no boundary (k = 1)
-      val n = 12
-      val bag = rnd.shuffle((0 until n).toVector).take(rnd.nextInt(6)).toArray
-      val sc = bag.map(_ => dist(rnd))
-      val slots = bag.map(_ => if (nb > 0 && rnd.nextBoolean()) rnd.nextInt(nb) else -1)
-      val d = Array.fill(nb, nb)(dist(rnd))
-      val disB = Array.fill(n)(Array.fill(nb)(dist(rnd)))
-      val expected = Array.tabulate(nb) { j =>
-        (Inf +: bag.indices.map(k => sc(k) + (if (slots(k) >= 0) d(slots(k))(j) else disB(bag(k))(j)))).min
+    for (trial <- 1 to 20) {
+      val g = GridGen.randomConnected(10 + rnd.nextInt(40), rnd.nextInt(40), seed = 710 + trial)
+      val forced = Array.fill(g.n)(rnd.nextInt(4) == 0)
+      val td = MDE.decompose(g.n, g.undirectedEdges, forcedLast = forced)
+      val h = new H2HIndex(td); h.build()
+      val pathDis = new Array[Array[Int]](td.height)
+      for (v <- 0 until g.n if td.depth(v) > 0) {
+        td.ancestorChain(v).foreach(a => pathDis(td.depth(a)) = h.dis(a))
+        val dv = td.depth(v)
+        val depths = (0 until dv).filter(_ => rnd.nextBoolean()).toArray
+        val arr = Array.fill(dv + 1)(-7)
+        h.relaxAt(v, pathDis, depths, arr)
+        val full = h.computeDis(v, pathDis)
+        for (j <- 0 to dv)
+          assert(arr(j) == (if (depths.contains(j)) full(j) else -7), s"trial $trial v=$v depth $j")
+        assert(depths.forall(j => full(j) == h.dis(v)(j)), s"trial $trial v=$v")
       }
-      assert(BoundaryLabels.boundaryArray(bag, sc, slots, d, disB).sameElements(expected), s"trial $trial")
     }
   }
 }

@@ -10,9 +10,10 @@ import repro.core.sp.Dijkstra
 import repro.util.Parallel
 import scala.util.Random
 
-/** The CH-class query stages and PMHL's no- and post-boundary stages serve
-  * several threads at once: 4 threads share one built and updated index and
-  * query it while no maintenance runs, and every answer equals Dijkstra.
+/** The CH-class query stages, PMHL's no- and post-boundary stages and
+  * PostMHL's post-boundary and full stages serve several threads at once:
+  * 4 threads share one built and updated index and query it while no
+  * maintenance runs, and every answer equals Dijkstra.
   */
 class ConcurrentQuerySpec extends AnyFunSuite {
 
@@ -48,6 +49,16 @@ class ConcurrentQuerySpec extends AnyFunSuite {
     val p = new PostMHL(g, 12, 8, 0.1, 2.0, threads = 2)
     p.applyUpdateBatch(Datasets.updateBatch(g, 30, seed = 1204))
     hammer(g, p.queryPCH, "PostMHL PCH")
+  }
+
+  // Q3 gathers each cross-partition endpoint's hub distances per call.
+  test("PostMHL.queryPost and queryFull are exact under 4 concurrent query threads") {
+    val g = graph()
+    val p = new PostMHL(g, 12, 8, 0.1, 2.0, threads = 2)
+    assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
+    p.applyUpdateBatch(Datasets.updateBatch(g, 30, seed = 1207))
+    hammer(g, p.queryPost, "PostMHL post-boundary")
+    hammer(g, p.queryFull, "PostMHL full")
   }
 
   for (stages <- Seq(2, 5)) {

@@ -5,6 +5,7 @@ import org.scalacheck.Prop.forAll
 import repro.graph.{Datasets, GridGen}
 import repro.core.td.{MDE, ShortcutUpdater}
 import repro.core.h2h.{CHQuery, H2HIndex, UpwardGraph}
+import repro.core.postmhl.PostMHL
 import repro.core.sp.{BiDijkstra, Dijkstra}
 import scala.util.Random
 
@@ -73,6 +74,17 @@ object GraphProperties extends Properties("repro.core") {
       Prop.all(passes.zip(hs).map { case (p, h) =>
         Prop(h.dis.indices.forall(v => java.util.Arrays.equals(h.dis(v), rebuilt.dis(v)))) :| s"$p pass"
       }: _*) && sampleExact(g, hs.head.query, seed)
+    }
+
+  property("PostMHL labels == rebuild after a random batch") =
+    forAll(genGraph, Gen.choose(0, 8), Gen.choose(2, 6), Gen.choose(1L, 9999L)) { (g, tau, ke, seed) =>
+      val p = new PostMHL(g, tau, ke, betaL = 0.1, betaU = 2.0, threads = 2)
+      p.applyUpdateBatch(Datasets.updateBatch(g, math.max(2, g.m / 6), seed))
+      val rebuilt = new H2HIndex(p.td); rebuilt.build()
+      Prop.collect(if (p.k == 0) "k = 0" else "k > 0") {
+        Prop(p.dis.indices.forall(v => java.util.Arrays.equals(p.dis(v), rebuilt.dis(v)))) &&
+          sampleExact(g, p.queryPost, seed)
+      }
     }
 
   property("tree decomposition bags are cliques of ancestors") = forAll(genGraph) { g =>

@@ -84,18 +84,20 @@ class PostMHLSpec extends AnyFunSuite {
       assert(h.dis(v).sameElements(p.dis(v)), s"post-update label mismatch at $v")
   }
 
-  test("same-partition H2H hubs: overlay bag members lie in partB, whose depths hold disB") {
+  test("same-partition H2H hubs lie in partB, whose depths hold exact distances") {
     val g = GridGen.grid(6, 30, seed = 83)
     val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 4)
     assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
-    def check(ctx: String): Unit =
+    def check(ctx: String): Unit = {
+      val fromB = p.partB.flatten.distinct.map(b => b -> Dijkstra.sssp(g, b)).toMap
       for (v <- 0 until g.n if p.partOf(v) != -1) {
         val bs = p.partB(p.partOf(v))
         for (x <- p.td.bag(v) if p.partOf(x) == -1)
           assert(bs.contains(x), s"$ctx: overlay bag member $x of $v not in partB(${p.partOf(v)})")
-        for (j <- bs.indices)
-          assert(p.dis(v)(p.td.depth(bs(j))) == p.disB(v)(j), s"$ctx: dis($v) at boundary ${bs(j)}")
+        for (b <- bs)
+          assert(p.dis(v)(p.td.depth(b)) == fromB(b)(v), s"$ctx: dis($v) at boundary $b")
       }
+    }
     check("build")
     for (r <- 1 to 4) {
       p.applyUpdateBatch(Datasets.updateBatch(g, 25, seed = 1000 + r))
@@ -134,7 +136,7 @@ class PostMHLSpec extends AnyFunSuite {
     }
   }
 
-  test("disB stores exact global distances to partition boundaries") {
+  test("boundary depths of dis hold exact distances to partition boundaries") {
     val g = GridGen.grid(6, 20, seed = 90)
     val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 2)
     assert(p.k > 0)
@@ -143,8 +145,8 @@ class PostMHLSpec extends AnyFunSuite {
     for (_ <- 1 to 40) {
       val v = inPart(rnd.nextInt(inPart.size))
       val i = p.partOf(v)
-      for ((b, j) <- p.partB(i).zipWithIndex)
-        assert(p.disB(v)(j) == Dijkstra.query(g, v, b), s"disB($v)($b)")
+      for (b <- p.partB(i))
+        assert(p.dis(v)(p.td.depth(b)) == Dijkstra.query(g, v, b), s"dis($v) at boundary $b")
     }
   }
 
@@ -152,8 +154,8 @@ class PostMHLSpec extends AnyFunSuite {
     val g = GridGen.grid(6, 30, seed = 93)
     val p = new PostMHL(g, tau = 12, ke = 8, betaL = 0.1, betaU = 2.0, threads = 4)
     assert(p.k >= 2, s"want multiple partitions, got k=${p.k}")
-    // D is read off the overlay labels: partB(i) must lie on roots(i)'s
-    // ancestor chain in strictly ascending depth.
+    // U4 writes the boundary at its depths in v's label: partB(i) must lie
+    // on roots(i)'s ancestor chain in strictly ascending depth.
     for (i <- 0 until p.k) {
       val chain = p.td.ancestorChain(p.roots(i)).toSet
       val bs = p.partB(i)
@@ -172,7 +174,8 @@ class PostMHLSpec extends AnyFunSuite {
       for (i <- 0 until p.k) {
         val fromB = p.partB(i).map(Dijkstra.sssp(g, _))
         for (v <- members(i); j <- p.partB(i).indices)
-          assert(p.disB(v)(j) == fromB(j)(v), s"round $r disB($v)(${p.partB(i)(j)})")
+          assert(p.dis(v)(p.td.depth(p.partB(i)(j))) == fromB(j)(v),
+            s"round $r dis($v) at boundary ${p.partB(i)(j)}")
         for (_ <- 1 to 30) {
           val s = members(i)(rnd.nextInt(members(i).size)); val t = members(i)(rnd.nextInt(members(i).size))
           assert(p.queryPost(s, t) == Dijkstra.query(g, s, t), s"round $r Post ($s,$t)")
