@@ -47,12 +47,11 @@ final class PTDPSolution(g0: RoadGraph, k: Int, threads: Int)
     extends PMHLSolution(g0, k, threads, stages = 4) { override val name = "P-TD-P" }
 
 /** PostMHL (§VI) as a Solution: four query stages (Figure 9). */
-final class PostMHLSolution(g0: RoadGraph, tau: Int, ke: Int, threads: Int,
-                            betaL: Double = 0.1, betaU: Double = 2.0) extends Solution {
+final class PostMHLSolution(g0: RoadGraph, tau: Int, ke: Int, threads: Int) extends Solution {
   val graph: RoadGraph = g0.copyWeights()
   val name = "PostMHL"
   private val t0 = System.nanoTime()
-  val index = new PostMHL(graph, tau, ke, betaL, betaU, threads)
+  val index = new PostMHL(graph, tau, ke, 0.1, 2.0, threads)
   val buildSeconds: Double = (System.nanoTime() - t0) / 1e9
   def indexEntries: Long = index.indexEntries
   def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {

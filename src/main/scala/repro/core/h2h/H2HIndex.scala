@@ -17,12 +17,14 @@ import scala.collection.mutable
   * pass, which recomputes only the entries a changed shortcut or a changed
   * entry above can reach; otherwise the subtree pass recomputes every row.
   *
-  * The recurrence ([[relax]] over a depth range, [[relaxAt]] over a list
-  * of depths) and the subtree [[walk]] also serve PostMHL, whose index
-  * parts are depth sets of one label array, and PMHL's index over T*
-  * ([[repro.core.pmhl.PMHL]]), which walks its boundary rows (the overlay
-  * labels) and each partition's non-boundary subtrees (`L*`) as separate
-  * passes.
+  * The full-row pass [[relabel]], which may be kept out of some subtrees,
+  * also labels PMHL's index over T* ([[repro.core.pmhl.PMHL]]: its
+  * boundary rows, the overlay labels, and each partition's non-boundary
+  * subtrees, `L*`, as separate passes), its post-boundary forest and
+  * PostMHL's overlay rows. The recurrence ([[relax]] over a depth range,
+  * [[relaxAt]] over a list of depths) and the subtree [[walk]] also serve
+  * PostMHL's post- and cross-boundary passes, whose index parts are depth
+  * sets of one label array.
   */
 final class H2HIndex(val td: UpwardGraph) {
   import TD.Inf
@@ -105,9 +107,22 @@ final class H2HIndex(val td: UpwardGraph) {
   }
 
   /** Full top-down construction. */
-  def build(): Unit = {
+  def build(): Unit = relabel(td.roots)
+
+  /** Full-row label pass: a [[walk]] of each of `tops`' subtrees, entering
+    * only children for which `descend` holds, that gives every visited
+    * vertex a fresh row from [[computeDis]]. Returns the vertices whose row
+    * changed, in walk order.
+    */
+  def relabel(tops: Array[Int], descend: Int => Boolean = _ => true): Array[Int] = {
+    val changed = new mutable.ArrayBuilder.ofInt
     val pathDis = new Array[Array[Int]](td.height)
-    td.roots.foreach(walk(_, pathDis, _ => true)(computeDis(_, pathDis)))
+    tops.foreach(walk(_, pathDis, descend) { v =>
+      val arr = computeDis(v, pathDis)
+      if (!java.util.Arrays.equals(arr, dis(v))) changed += v
+      arr
+    })
+    changed.result()
   }
 
   /** DH2H top-down maintenance [33] after the shortcut arrays of the
@@ -123,8 +138,6 @@ final class H2HIndex(val td: UpwardGraph) {
   /** [[updateSubtrees]] with the pass chosen by `pass` (tests force one). */
   private[core] def updateSubtrees(affected: Array[Int], pass: H2HIndex.Pass): Array[Int] = {
     val tops = td.subtreeTops(affected)
-    val changed = new mutable.ArrayBuilder.ofInt
-    val pathDis = new Array[Array[Int]](td.height)
     val entry = pass match {
       case H2HIndex.Entry => true
       case H2HIndex.Subtree => false
@@ -133,14 +146,10 @@ final class H2HIndex(val td: UpwardGraph) {
         tops.foreach(rows += td.subtreeSize(_))
         affected.length < H2HIndex.EntryShare * rows
     }
-    if (entry) {
-      val ep = new EntryPass(affected, pathDis, changed)
-      tops.foreach(ep.run)
-    } else for (top <- tops) walk(top, pathDis, _ => true) { v =>
-      val arr = computeDis(v, pathDis)
-      if (!java.util.Arrays.equals(arr, dis(v))) changed += v
-      arr
-    }
+    if (!entry) return relabel(tops)
+    val changed = new mutable.ArrayBuilder.ofInt
+    val ep = new EntryPass(affected, new Array[Array[Int]](td.height), changed)
+    tops.foreach(ep.run)
     changed.result()
   }
 

@@ -180,7 +180,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       if (labels) {
         star.buildLca()
         labOv = new H2HIndex(star)
-        labelBoundary(star.roots.filter(boundary))
+        labOv.relabel(star.roots.filter(boundary), boundary(_))
         val parent = new Array[Int](n); val depth = new Array[Int](n)
         val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
         Parallel.run((0 until k).map(i => () => {
@@ -189,13 +189,9 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         }), threads)
         post = new UpwardGraph(parent, depth, bag, sc)
         labPost = new H2HIndex(post)
-        val height = post.height
         val rootsBy = Array.fill(k)(new mutable.ArrayBuilder.ofInt)
         post.roots.foreach(r => rootsBy(part(r)) += r)
-        Parallel.run((0 until k).map(i => () => {
-          val pathDis = new Array[Array[Int]](height)
-          rootsBy(i).result().foreach(labPost.walk(_, pathDis, _ => true)(labPost.computeDis(_, pathDis)))
-        }), threads)
+        Parallel.run((0 until k).map(i => () => { labPost.relabel(rootsBy(i).result()); () }), threads)
         post.buildLca()
       }
     }
@@ -209,30 +205,10 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
           v += 1
         }
         attachRoots = roots.map(_.result())
-        Parallel.run((0 until k).map(i => () => labelAttached(i)), threads)
+        Parallel.run((0 until k).map(i => () => { labOv.relabel(attachRoots(i)); () }), threads)
       }
     }
     times.toArray
-  }
-
-  /** (Re)label the boundary rows of T* under `tops`, top-down, and return
-    * the vertices whose row changed.
-    */
-  private def labelBoundary(tops: Array[Int]): Array[Int] = {
-    val changed = new mutable.ArrayBuilder.ofInt
-    val pathDis = new Array[Array[Int]](star.height)
-    tops.foreach(labOv.walk(_, pathDis, boundary(_)) { v =>
-      val arr = labOv.computeDis(v, pathDis)
-      if (!java.util.Arrays.equals(arr, labOv.dis(v))) changed += v
-      arr
-    })
-    changed.result()
-  }
-
-  /** (Re)label partition i's `L*` rows: the T* subtrees of its attach roots. */
-  private def labelAttached(i: Int): Unit = {
-    val pathDis = new Array[Array[Int]](star.height)
-    attachRoots(i).foreach(labOv.walk(_, pathDis, _ => true)(labOv.computeDis(_, pathDis)))
   }
 
   /** B_i's rows of the post-boundary forest: in ascending overlay rank,
@@ -381,7 +357,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     val labelTasks =
       (0 until k).filter(partScTouched)
         .map(i => () => { labPart(i).updateSubtrees(partAffected(i)); () }) :+
-      (() => { changedOvLabels = labelBoundary(star.subtreeTops(ovRes.affected)); () })
+      (() => { changedOvLabels = labOv.relabel(star.subtreeTops(ovRes.affected), boundary(_)); () })
     Parallel.run(labelTasks, threads)
     val ovChanged = new Array[Boolean](n)
     changedOvLabels.foreach(ovChanged(_) = true)
@@ -413,7 +389,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         false
       }
       Parallel.run((0 until k).filter(i => partScTouched(i) || attachRoots(i).exists(chainChanged))
-        .map(i => () => labelAttached(i)), threads)
+        .map(i => () => { labOv.relabel(attachRoots(i)); () }), threads)
       mark(4)
     }
 

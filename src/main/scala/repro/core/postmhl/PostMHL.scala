@@ -71,20 +71,12 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   }
 
   // ---------------- construction ----------------
-  timeIt(2) { td.buildLca(); buildOverlay(td.roots.filter(partOf(_) == -1)) }
+  timeIt(2) { td.buildLca(); labels.relabel(td.roots.filter(partOf(_) == -1), partOf(_) == -1) }
   timeIt(3) {
     Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads)
   }
   timeIt(4) {
     Parallel.run((0 until k).map(i => () => buildCross(i, Array(roots(i)))), threads)
-  }
-
-  /** (Re)build the overlay labels of the overlay subtrees of `tops`,
-    * top-down.
-    */
-  private def buildOverlay(tops: Array[Int]): Unit = {
-    val pathDis = new Array[Array[Int]](td.height)
-    tops.foreach(labels.walk(_, pathDis, partOf(_) == -1)(labels.computeDis(_, pathDis)))
   }
 
   /** Post-boundary pass (Algorithm 4 lines 5-31) over the subtrees of
@@ -211,7 +203,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     //    implies an affected overlay top above b, hence above the root —
     //    the full-rebuild case).
     val ovTops: Array[Int] = td.subtreeTops(ovRes.affected)
-    buildOverlay(ovTops)
+    labels.relabel(ovTops, partOf(_) == -1)
     mark(2)
 
     val isOvTop = new Array[Boolean](n)

@@ -1,6 +1,7 @@
 package repro.core.td
 
 import java.util.Arrays
+import repro.util.LongHeap
 
 /** Minimum Degree Elimination [53], [54] — builds the tree decomposition
   * (and, per Lemma 4, the CH shortcut index) of a weighted graph.
@@ -80,34 +81,6 @@ object MDE {
       v += 1
     }
     new Rows(nbr, wt, deg)
-  }
-
-  /** Binary min-heap of `Long` keys. */
-  private final class LongHeap(capacity: Int) {
-    private var a = new Array[Long](math.max(capacity, 16))
-    private var size = 0
-
-    def push(k: Long): Unit = {
-      if (size == a.length) a = Arrays.copyOf(a, 2 * size)
-      var i = size
-      size += 1
-      while (i > 0 && a((i - 1) >> 1) > k) { a(i) = a((i - 1) >> 1); i = (i - 1) >> 1 }
-      a(i) = k
-    }
-
-    def pop(): Long = {
-      val top = a(0)
-      size -= 1
-      val last = a(size)
-      var i = 0
-      var c = 1
-      while (c < size) {
-        if (c + 1 < size && a(c + 1) < a(c)) c += 1
-        if (a(c) < last) { a(i) = a(c); i = c; c = 2 * i + 1 } else c = size
-      }
-      a(i) = last
-      top
-    }
   }
 
   /** Min-degree elimination of the vertices `elim` marks, in ascending

@@ -48,7 +48,7 @@ object DistributedLabels {
     val n = g.n
     val edges = SpatialPartitioner.splitEdges(g, pr)
     val tdOv = MDE.decompose(n, SpatialPartitioner.overlayEdges(pr, edges, threads = 1))
-    val labOv = new H2HIndex(tdOv); labOv.build(); tdOv.buildLca()
+    val labOv = new H2HIndex(tdOv); labOv.relabel(tdOv.roots.filter(pr.boundary)); tdOv.buildLca()
     val ovLabels = (0 until n).filter(pr.boundary).flatMap { b =>
       val chain = tdOv.ancestorChain(b)
       chain.indices.map(j => LabelRow(b, chain(j), labOv.dis(b)(j)))

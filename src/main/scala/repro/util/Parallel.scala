@@ -1,7 +1,6 @@
 package repro.util
 
 import java.util.concurrent.{Callable, Executors, Semaphore, ThreadFactory}
-import scala.jdk.CollectionConverters._
 
 /** Fixed-width task parallelism for the paper's partition-parallel index
   * maintenance stages (Exp 6 sweeps the thread count p).
@@ -24,17 +23,7 @@ object Parallel {
   /** Run all tasks with at most `p` running concurrently; rethrows the
     * first failure.
     */
-  def run(tasks: Seq[() => Unit], p: Int): Unit = {
-    if (tasks.isEmpty) return
-    if (p <= 1 || tasks.size == 1) { tasks.foreach(_.apply()); return }
-    val sem = new Semaphore(p)
-    val futures = tasks.map { t =>
-      pool.submit(new Callable[Unit] {
-        def call(): Unit = { sem.acquire(); try t() finally sem.release() }
-      })
-    }
-    futures.foreach(_.get()) // propagate exceptions
-  }
+  def run(tasks: Seq[() => Unit], p: Int): Unit = map(tasks, p)(_())
 
   /** Map variant preserving order. */
   def map[A, B](items: Seq[A], p: Int)(f: A => B): Seq[B] = {
