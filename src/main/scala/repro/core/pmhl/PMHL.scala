@@ -27,9 +27,17 @@ final case class StageTimes(t: Array[Double]) {
   *  - the post-boundary forest over the extended partitions
   *    (`post`/`labPost`).
   *
-  * Build steps: ov_input, overlay (`tdOv`, `updOv`), partitions, post (T*,
-  * its LCA and the boundary rows of `labOv`, then the post-boundary forest,
-  * whose chain rows read them), cross (the non-boundary rows of `labOv`).
+  * Build steps:
+  *  - ov_input: each partition's non-boundary vertices eliminated by min
+  *    degree ([[MDE.contract]]); the boundary graphs they leave plus the
+  *    inter edges are the overlay input;
+  *  - overlay: `tdOv`, `updOv`;
+  *  - partitions: each partition's elimination resumed with B_i in overlay
+  *    rank order ([[MDE.resume]]), so it is eliminated once; then
+  *    `updPart` and `labPart`;
+  *  - post: T*, its LCA and the boundary rows of `labOv`, then the
+  *    post-boundary forest, whose chain rows read them;
+  *  - cross: the non-boundary rows of `labOv`.
   *
   * Each partition has its own vertex numbering: `tdPart(i)`, `updPart(i)`
   * and `labPart(i)` run over its n_i vertices in local ids (`localId`;
@@ -137,14 +145,20 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     }
     // Step 1+2 (optimized, Theorem 2): contract non-boundary per partition
     // to obtain the overlay input directly from the partition MDE.
+    var partials: Array[MDE.Partial] = null
     var ovEdges: Seq[(Int, Int, Int)] = null
-    timed { ovEdges = SpatialPartitioner.overlayEdges(pr, edges, threads) }
+    timed {
+      val ps = SpatialPartitioner.contractPartitions(pr, edges, threads)
+      ovEdges = SpatialPartitioner.overlayEdges(pr, edges, ps)
+      partials = ps.toArray
+    }
     // Step 3: overlay graph + overlay shortcuts (its labels are T*'s).
     timed {
       tdOv = MDE.decompose(n, ovEdges)
       updOv = new ShortcutUpdater(tdOv)
     }
-    // Step 1 (full): partition MHLs with overlay-consistent boundary order.
+    // Step 1 (full): partition MHLs, each resuming its phase-1 elimination
+    // with B_i in overlay order.
     timed {
       tdPart = new Array[TD](k); updPart = new Array[ShortcutUpdater](k)
       if (labels) labPart = new Array[H2HIndex](k)
@@ -152,7 +166,8 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       Parallel.run((0 until k).map(i => () => {
         val ms = members(i)
         val forced = Array.tabulate(ms.length)(l => boundary(ms(l)))
-        val td = MDE.decompose(ms.length, edges.intra(i), forced, Array.tabulate(ms.length)(l => tdOv.rank(ms(l))))
+        val td = MDE.resume(partials(i), Array.tabulate(ms.length)(l => tdOv.rank(ms(l))))
+        partials(i) = null
         tdPart(i) = td
         updPart(i) = new ShortcutUpdater(td, forced)
         var l = 0

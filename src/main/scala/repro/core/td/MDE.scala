@@ -12,6 +12,13 @@ import repro.util.LongHeap
   * fixed order (`forcedRank`) so partition boundary orders can be made
   * consistent with the overlay order (Figure 5, condition 2).
   *
+  * An elimination runs in two parts on one [[Partial]] state: [[contract]]
+  * eliminates the unforced vertices by min degree, and a finish eliminates
+  * the rest (by min degree, or by `forcedRank` in [[resume]]) and builds
+  * the TD. `decompose` is the two parts back to back; PMHL stops after the
+  * first to read the overlay input off `Partial.remaining` and resumes once
+  * the overlay order is known, so each partition is eliminated once.
+  *
   * Nothing is hashed or boxed, as in the flat-array minimum-degree
   * orderings of George & Liu (SIAM Review 1989): the input is deduplicated
   * into per-vertex rows of (neighbour, min weight), elimination grows `Int`
@@ -22,7 +29,6 @@ import repro.util.LongHeap
 object MDE {
   import TD.Inf
 
-  private val ForcedOffset = 1 << 26
   /** Bags must stay below this size: slot indices are packed in 16 bits. */
   private val MaxBag = 1 << 16
 
@@ -89,17 +95,20 @@ object MDE {
     * the fill-in shortcuts among its members and removes v. `rows` is left
     * holding the adjacency among the vertices not eliminated.
     */
-  private def eliminate(rows: Rows, elim: Int => Boolean, prio: (Int, Int) => Int)
+  private def eliminate(rows: Rows, elim: Array[Boolean], prio: (Int, Int) => Int)
                        (visit: (Int, Array[Int], Array[Int]) => Unit): Unit = {
     val nbr = rows.nbr; val wt = rows.wt; val deg = rows.deg
     val n = deg.length
     def key(v: Int): Long = (prio(v, deg(v)).toLong << 32) | v.toLong
+    var total = 0
+    var v0 = 0
+    while (v0 < n) { if (elim(v0)) total += 1; v0 += 1 }
+    if (total == 0) return
     val heap = new LongHeap(n)
     val done = new Array[Boolean](n)
     val slot = Array.fill(n)(-1)
-    var total = 0
-    var v0 = 0
-    while (v0 < n) { if (elim(v0)) { heap.push(key(v0)); total += 1 }; v0 += 1 }
+    v0 = 0
+    while (v0 < n) { if (elim(v0)) heap.push(key(v0)); v0 += 1 }
 
     var r = 0
     while (r < total) {
@@ -142,29 +151,98 @@ object MDE {
     }
   }
 
+  /** An elimination stopped part-way, as [[contract]] leaves it: the input
+    * rows (for `base`), the rows among the vertices left, and the ranks,
+    * order and raw bags of the vertices eliminated so far. [[resume]]
+    * eliminates the rest and finishes the TD; it may do so once.
+    */
+  final class Partial private[MDE] (val n: Int, private[MDE] val input: Rows, private[MDE] val rows: Rows) {
+    private[MDE] val rank = new Array[Int](n)
+    private[MDE] val order = new Array[Int](n)
+    /** v's neighbours and shortcuts when it was eliminated; null while v is left. */
+    private[MDE] val rawBag = new Array[Array[Int]](n)
+    private[MDE] val rawSc = new Array[Array[Int]](n)
+    private[MDE] var eliminated = 0
+    private[MDE] var resumed = false
+
+    /** Eliminate the `elim` vertices (none of them eliminated yet) in
+      * ascending `prio(v, degree)`, recording each one's rank and raw bag.
+      */
+    private[MDE] def run(elim: Array[Boolean], prio: (Int, Int) => Int): Unit =
+      eliminate(rows, elim, prio) { (v, nbrs, ws) =>
+        rank(v) = eliminated; order(eliminated) = v
+        rawBag(v) = nbrs; rawSc(v) = ws
+        eliminated += 1
+      }
+
+    /** The graph among the vertices left: each undirected edge once, as
+      * (u, x, w) with u < x and w < `Inf`, in ascending u.
+      */
+    def remaining: Seq[(Int, Int, Int)] = {
+      require(!resumed, "the partial elimination was already resumed")
+      val out = Vector.newBuilder[(Int, Int, Int)]
+      var u = 0
+      while (u < n) {
+        if (rawBag(u) == null) {
+          var i = 0
+          while (i < rows.deg(u)) {
+            val x = rows.nbr(u)(i); val w = rows.wt(u)(i)
+            if (u < x && w < Inf) out += ((u, x, w))
+            i += 1
+          }
+        }
+        u += 1
+      }
+      out.result()
+    }
+  }
+
+  /** Eliminate the `contract`-marked vertices of the graph (n vertices,
+    * undirected weighted edges) by min degree and keep the state. Its
+    * `remaining` graph is the Theorem-2 overlay input when the unmarked
+    * vertices are a partition's boundary.
+    */
+  def contract(n: Int, edges: Iterable[(Int, Int, Int)], contract: Array[Boolean]): Partial = {
+    require(contract.length == n, s"contract flags ${contract.length} vertices, not $n")
+    val input = inputRows(n, edges)
+    val p = new Partial(n, input, input.copy())
+    p.run(contract, (_, deg) => deg)
+    p
+  }
+
+  /** Eliminate the vertices `partial` left in ascending `forcedRank` (ties
+    * by id) and finish the TD. The ranks of eliminated vertices are not read.
+    */
+  def resume(partial: Partial, forcedRank: Array[Int]): TD = {
+    require(forcedRank.length == partial.n, s"forcedRank has ${forcedRank.length} entries, not ${partial.n}")
+    finish(partial, (v, _) => forcedRank(v))
+  }
+
   /** Full decomposition of the graph (n vertices, undirected weighted edges).
     *
     * @param forcedLast  null, or flags of vertices eliminated after all others
     * @param forcedRank  null, or a fixed relative order for the forcedLast set
-    *                    (smaller rank eliminated first); ignored for others
+    *                    (smaller rank eliminated first); ignored for others.
+    *                    Needs `forcedLast`: without it nothing is forced.
     */
   def decompose(n: Int, edges: Iterable[(Int, Int, Int)],
                 forcedLast: Array[Boolean] = null,
                 forcedRank: Array[Int] = null): TD = {
-    val input = inputRows(n, edges)
-    val forced = if (forcedLast != null) forcedLast else new Array[Boolean](n)
-    val rank = new Array[Int](n)
-    val order = new Array[Int](n)
-    val rawBag = new Array[Array[Int]](n)
-    val rawSc = new Array[Array[Int]](n)
-    var r = 0
-    eliminate(input.copy(), _ => true, (v, deg) =>
-      if (!forced(v)) deg
-      else ForcedOffset + (if (forcedRank != null) forcedRank(v) else deg)) { (v, nbrs, ws) =>
-      rank(v) = r; order(r) = v
-      rawBag(v) = nbrs; rawSc(v) = ws
-      r += 1
-    }
+    require(forcedRank == null || forcedLast != null, "forcedRank is given without forcedLast")
+    val p = contract(n, edges, Array.tabulate(n)(v => forcedLast == null || !forcedLast(v)))
+    if (forcedRank != null) resume(p, forcedRank) else finish(p, (_, deg) => deg)
+  }
+
+  /** Eliminate the vertices `p` left in ascending `prio(v, degree)`, then
+    * build the TD from its ranks and raw bags.
+    */
+  private def finish(p: Partial, prio: (Int, Int) => Int): TD = {
+    require(!p.resumed, "the partial elimination was already resumed")
+    p.resumed = true
+    val n = p.n
+    p.run(Array.tabulate(n)(v => p.rawBag(v) == null), prio)
+    val rank = p.rank; val order = p.order; val rawBag = p.rawBag; val rawSc = p.rawSc
+    val input = p.input
 
     // Sort each bag by rank descending (parent = last) on packed
     // (n - 1 - rank, position) keys; read base off v's input row.
@@ -296,28 +374,10 @@ object MDE {
     (sup, supSlots)
   }
 
-  /** Phase-1 contraction: eliminate only the `contract`-marked vertices by
-    * min-degree and return the remaining graph among unmarked vertices —
-    * exactly the Theorem-2 overlay input (boundary shortcuts formed by the
-    * MDE of Step 1, without touching the boundary order).
+  /** Phase-1 contraction: the graph left among the unmarked vertices once
+    * the `contract`-marked ones are eliminated by min degree.
     */
   def phase1(n: Int, edges: Iterable[(Int, Int, Int)],
-             contract: Array[Boolean]): Seq[(Int, Int, Int)] = {
-    val rows = inputRows(n, edges)
-    eliminate(rows, contract(_), (_, deg) => deg)((_, _, _) => ())
-    val out = Vector.newBuilder[(Int, Int, Int)]
-    var u = 0
-    while (u < n) {
-      if (!contract(u)) {
-        var i = 0
-        while (i < rows.deg(u)) {
-          val x = rows.nbr(u)(i); val w = rows.wt(u)(i)
-          if (u < x && w < Inf) out += ((u, x, w))
-          i += 1
-        }
-      }
-      u += 1
-    }
-    out.result()
-  }
+             contract: Array[Boolean]): Seq[(Int, Int, Int)] =
+    MDE.contract(n, edges, contract).remaining
 }

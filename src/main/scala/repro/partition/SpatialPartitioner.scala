@@ -107,17 +107,24 @@ object SpatialPartitioner {
     EdgeSplit(intra.map(_.result()), inter.result())
   }
 
-  /** Overlay graph input (Theorem 2): each partition's non-boundary
-    * vertices contracted out of its intra edges in local ids, in parallel,
-    * plus the inter edges; all returned in global ids. Distances between
-    * boundary vertices are exact.
+  /** Each partition's non-boundary vertices contracted out of its intra
+    * edges by min degree, in local ids, in parallel (phase 1 of Theorem 2).
     */
-  def overlayEdges(pr: PartitionResult, edges: EdgeSplit, threads: Int): Seq[(Int, Int, Int)] = {
-    val contracted = Parallel.map((0 until pr.k).toSeq, threads) { i =>
+  def contractPartitions(pr: PartitionResult, edges: EdgeSplit, threads: Int): Seq[MDE.Partial] =
+    Parallel.map((0 until pr.k).toSeq, threads) { i =>
       val ms = pr.members(i)
-      MDE.phase1(ms.length, edges.intra(i), Array.tabulate(ms.length)(l => !pr.boundary(ms(l))))
-        .map { case (u, x, w) => (ms(u), ms(x), w) }
+      MDE.contract(ms.length, edges.intra(i), Array.tabulate(ms.length)(l => !pr.boundary(ms(l))))
     }
-    contracted.flatten ++ edges.inter
-  }
+
+  /** Overlay graph input (Theorem 2): what each contracted partition leaves
+    * among its boundary, plus the inter edges; all in global ids. Distances
+    * between boundary vertices are exact.
+    */
+  def overlayEdges(pr: PartitionResult, edges: EdgeSplit, partials: Seq[MDE.Partial]): Seq[(Int, Int, Int)] =
+    partials.zip(pr.members).flatMap { case (p, ms) =>
+      p.remaining.map { case (u, x, w) => (ms(u), ms(x), w) }
+    } ++ edges.inter
+
+  def overlayEdges(pr: PartitionResult, edges: EdgeSplit, threads: Int): Seq[(Int, Int, Int)] =
+    overlayEdges(pr, edges, contractPartitions(pr, edges, threads))
 }

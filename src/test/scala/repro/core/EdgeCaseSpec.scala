@@ -53,6 +53,13 @@ class EdgeCaseSpec extends AnyFunSuite {
     assert(h.query(0, 2) == 7)
   }
 
+  test("MDE rejects forcedRank without forcedLast, which it would ignore") {
+    val g = GridGen.grid(3, 4, seed = 502)
+    intercept[IllegalArgumentException] {
+      MDE.decompose(g.n, g.undirectedEdges, forcedLast = null, forcedRank = Array.tabulate(g.n)(g.n - _))
+    }
+  }
+
   test("self-loop input is rejected") {
     intercept[IllegalArgumentException] { MDE.decompose(2, Seq((1, 1, 3))) }
     intercept[IllegalArgumentException] { RoadGraph.fromEdges(2, Seq((0, 0, 1))) }

@@ -102,7 +102,11 @@ class MDESpec extends AnyFunSuite {
   private def check(n: Int, edges: Iterable[(Int, Int, Int)], ctx: String,
                     forcedLast: Array[Boolean] = null, forcedRank: Array[Int] = null): TD = {
     val td = MDE.decompose(n, edges, forcedLast, forcedRank)
-    val ref = naiveDecompose(n, edges, forcedLast, forcedRank)
+    assertSame(td, naiveDecompose(n, edges, forcedLast, forcedRank), n, ctx)
+    td
+  }
+
+  private def assertSame(td: TD, ref: Ref, n: Int, ctx: String): Unit = {
     assert(td.n == n, ctx)
     val fields = Seq[(String, Array[_], Array[_])](
       ("rank", td.rank, ref.rank), ("order", td.order, ref.order),
@@ -112,7 +116,32 @@ class MDESpec extends AnyFunSuite {
       ("supporters", td.supporters, ref.supporters), ("supSlots", td.supSlots, ref.supSlots))
     for ((name, got, want) <- fields)
       assert(deep(got) == deep(want), s"$ctx: $name differs")
-    td
+  }
+
+  /** `resume(contract(n, edges, !forced), rank)` against the naive
+    * elimination with `forced` last in `rank` order; the partial's
+    * `remaining` against the naive phase 1.
+    */
+  private def checkResume(n: Int, edges: Iterable[(Int, Int, Int)], forced: Array[Boolean],
+                          rank: Array[Int], ctx: String): Unit = {
+    val contract = forced.map(!_)
+    val p = MDE.contract(n, edges, contract)
+    assert(p.remaining.toSet == naivePhase1(n, edges, contract), s"$ctx: remaining differs")
+    assertSame(MDE.resume(p, rank), naiveDecompose(n, edges, forced, rank), n, ctx)
+  }
+
+  /** Resume checks with a few forced sets: none, all, every third vertex and
+    * a random quarter, each with a random permutation as rank and with a
+    * rank full of ties.
+    */
+  private def checkResumes(n: Int, edges: Iterable[(Int, Int, Int)], seed: Long, ctx: String): Unit = {
+    val rnd = new Random(seed)
+    val forcedSets = Seq("none" -> Array.fill(n)(false), "all" -> Array.fill(n)(true),
+      "thirds" -> Array.tabulate(n)(_ % 3 == 0), "random" -> Array.fill(n)(rnd.nextInt(4) == 0))
+    val ranks = Seq("permutation" -> rnd.shuffle((0 until n).toList).toArray,
+      "ties" -> Array.fill(n)(rnd.nextInt(3)))
+    for ((fName, forced) <- forcedSets; (rName, rank) <- ranks)
+      checkResume(n, edges, forced, rank, s"$ctx forced $fName rank $rName")
   }
 
   private def checkPhase1(n: Int, edges: Iterable[(Int, Int, Int)], contract: Array[Boolean],
@@ -199,6 +228,33 @@ class MDESpec extends AnyFunSuite {
     }
     val rem = MDE.phase1(3, Seq((0, 1, 9), (1, 0, 4), (1, 2, 6), (2, 1, 8)), Array(false, true, false))
     assert(rem == Seq((0, 2, 10)))
+  }
+
+  test("resume after contract equals the naive elimination with the rest forced last") {
+    val graphs = Seq(GridGen.grid(6, 9, seed = 1), GridGen.grid(5, 20, seed = 2),
+      GridGen.grid(3, 40, seed = 3), GridGen.randomConnected(70, 50, seed = 4),
+      GridGen.randomConnected(30, 5, seed = 5), GridGen.randomConnected(60, 600, seed = 6))
+    for ((g, j) <- graphs.zipWithIndex) {
+      checkResumes(g.n, g.undirectedEdges, 30 + j, s"n=${g.n} m=${g.m}")
+      checkResumes(g.n, noisy(g, 40 + j), 50 + j, s"noisy n=${g.n}")
+    }
+    val a = GridGen.grid(4, 7, seed = 11); val b = GridGen.randomConnected(20, 15, seed = 12)
+    val n = a.n + b.n + 6
+    val twoComponents = a.undirectedEdges ++ b.undirectedEdges.map { case (u, v, w) => (u + a.n + 3, v + a.n + 3, w) }
+    checkResumes(n, twoComponents, 60, "two components")
+    checkResumes(5, Nil, 61, "no edges")
+    checkResumes(1, Nil, 62, "one vertex")
+  }
+
+  test("resume rejects a rank of the wrong length and a second resume") {
+    val g = GridGen.grid(4, 6, seed = 70)
+    val forced = Array.tabulate(g.n)(_ % 4 == 0)
+    val p = MDE.contract(g.n, g.undirectedEdges, forced.map(!_))
+    intercept[IllegalArgumentException](MDE.resume(p, new Array[Int](g.n - 1)))
+    intercept[IllegalArgumentException](MDE.resume(p, new Array[Int](g.n + 1)))
+    MDE.resume(p, Array.tabulate(g.n)(v => g.n - v))
+    intercept[IllegalArgumentException](MDE.resume(p, Array.tabulate(g.n)(v => g.n - v)))
+    intercept[IllegalArgumentException](p.remaining)
   }
 
   test("a self loop is rejected") {

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{Datasets, GridGen, RoadGraph}
 import repro.core.pmhl.PMHL
 import repro.core.sp.Dijkstra
+import repro.core.td.TD
 import scala.util.Random
 
 /** PMHL: every query stage must be exact (vs Dijkstra) after construction
@@ -135,6 +136,17 @@ class PMHLSpec extends AnyFunSuite {
       assert(p.queryNoBoundary(s, t) == truth)
       assert(p.queryCrossBoundary(s, t) == truth)
     }
+  }
+
+  test("the parallel build is deterministic: 1 and 4 threads give identical TDs (NY-lite)") {
+    val g = Datasets.NY.build()
+    val ps = Seq(1, 4).map { t => val p = new PMHL(g, Datasets.NY.k, threads = t); p.build(); p }
+    def fields(td: TD): Seq[Any] =
+      Seq(td.rank.toSeq, td.bag.map(_.toSeq).toSeq, td.sc.map(_.toSeq).toSeq, td.base.map(_.toSeq).toSeq)
+    assert(fields(ps(0).tdOv) == fields(ps(1).tdOv), "tdOv differs")
+    for (i <- 0 until Datasets.NY.k)
+      assert(fields(ps(0).tdPart(i)) == fields(ps(1).tdPart(i)), s"tdPart($i) differs")
+    assert(ps(0).indexEntries == ps(1).indexEntries)
   }
 
   test("indexEntries is positive and grows with graph size") {

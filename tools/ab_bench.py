@@ -23,7 +23,9 @@ whether a gain claim would hold: the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the distance
 between the parent's quartiles. Quartiles interpolate linearly between the
 sorted runs. A run that fails, or reports a wrong answer, is printed and left
-out of the pairs.
+out of the pairs. With `--out`, each pair also keeps both runs' `env` lines,
+parsed (host nproc, JVM, JVM flags, source revision and the workload's
+parameters), under "env", so a results file records the host it was run on.
 
 The "no regression" column applies the metric's `bound` from `BENCHMARK.json`
 (a fraction of the parent median):
@@ -89,7 +91,8 @@ def unpack(rev, into):
 
 
 def run_once(side_dir, workload, seed, seconds, trace):
-    """One benchmark run; returns its result object, or None if it failed."""
+    """One benchmark run; returns its result object and its parsed `env` line (None if the run
+    printed none), or None if it failed."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(side_dir, ".bench_build"))
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", trace]
@@ -103,7 +106,8 @@ def run_once(side_dir, workload, seed, seconds, trace):
     if not result.get("correct", False) or result.get("failed", 0) != 0:
         log("  run reported %s wrong answers" % result.get("failed"))
         return None
-    return result
+    envs = [json.loads(line[len("env "):]) for line in lines if line.startswith("env {")]
+    return result, (envs[-1] if envs else None)
 
 
 def quartiles(xs):
@@ -175,13 +179,14 @@ def main():
             sys.exit("ab_bench: not per-layer metrics of BENCHMARK.json: %s" % ", ".join(unknown))
 
         def pair(w, seed, order, trace):
-            got = {}
+            got, envs = {}, {}
             for side in order:
                 log("%s seed %d: %s%s" % (w, seed, side, " (traced)" if trace == "1" else ""))
                 res = run_once(sides[side], w, seed, seconds, trace)
                 if res is not None:
-                    got[side] = {n: v["value"] for n, v in res["metrics"].items()}
-            return {"seed": seed, "first": order[0], **got} if len(got) == 2 else None
+                    got[side] = {n: v["value"] for n, v in res[0]["metrics"].items()}
+                    envs[side] = res[1]
+            return {"seed": seed, "first": order[0], **got, "env": envs} if len(got) == 2 else None
 
         runs = {w: [] for w in workloads}
         traced = {w: [] for w in workloads}
