@@ -1,8 +1,8 @@
 package repro.baseline
 
 import repro.graph.RoadGraph
-import repro.core.td.{MDE, ShortcutUpdater, TD}
-import repro.core.h2h.{CHQuery, H2HIndex, UpwardGraph}
+import repro.core.td.{MDE, TD}
+import repro.core.h2h.{CHQuery, UpwardGraph}
 import repro.core.sp.BiDijkstra
 
 /** Index-free baseline: BiDijkstra [11]. Updates are just edge refreshes. */
@@ -19,55 +19,29 @@ final class BiDijkstraSolution(g0: RoadGraph) extends Solution {
   def bestQuery(s: Int, t: Int): Int = BiDijkstra.query(graph, s, t)
 }
 
-/** Global (non-partitioned) MHL engine (§V-A): MDE shortcut arrays kept by
-  * `ShortcutUpdater`, then optionally H2H labels on the same tree. Query
-  * stages: BiDijkstra while shortcuts are repaired, then CH over the
-  * shortcut arrays (if `ch`), then H2H once labels are repaired (if
-  * `labels`). By Lemma 4 the CH update is the first phase of the H2H
-  * update, so the global baselines are this engine with stages removed.
-  */
-class GlobalMHLSolution(g0: RoadGraph, val name: String, ch: Boolean, labels: Boolean)
-    extends Solution {
-  val graph: RoadGraph = g0.copyWeights()
-  private val t0 = System.nanoTime()
-  private val td = MDE.decompose(graph.n, graph.undirectedEdges)
-  private val upd = new ShortcutUpdater(td)
-  private val lab = if (labels) { val l = new H2HIndex(td); l.build(); td.buildLca(); l } else null
-  private val chq = if (ch) new CHQuery(UpwardGraph.fromTD(td)) else null
-  val buildSeconds: Double = (System.nanoTime() - t0) / 1e9
-  def indexEntries: Long = td.slotCount + (if (labels) lab.labelEntries else 0L)
-  def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
-    val t0 = System.nanoTime()
-    def elapsed: Double = (System.nanoTime() - t0) / 1e9
-    batch.foreach { case (u, v, w) => graph.setWeight(u, v, w) }
-    val stages = IndexedSeq.newBuilder[QueryStage]
-    stages += QueryStage(elapsed, "BiDij", (s, t) => BiDijkstra.query(graph, s, t))
-    val res = upd.applyInputChanges(batch)
-    if (ch) stages += QueryStage(elapsed, "CH", (s, t) => chq.query(s, t))
-    if (labels) {
-      lab.updateSubtrees(res.affected)
-      stages += QueryStage(elapsed, "H2H", (s, t) => lab.query(s, t))
-    }
-    stages.result()
-  }
-  def bestQuery(s: Int, t: Int): Int = if (labels) lab.query(s, t) else chq.query(s, t)
-}
-
 /** DCH [32]: global CH index with shortcut-centric maintenance; CH query.
   * BiDijkstra serves queries while the shortcuts are being repaired.
+  *
+  * The three global baselines are PostMHL with no partitions (τ < 0, so
+  * k = 0) and serial label passes: by Lemma 4 the CH update is the first
+  * phase of the H2H update, and by Remark 2 PostMHL's labels are DH2H's.
+  * DCH is that index stopped after U-stage 2.
   */
-final class DCHSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "DCH", ch = true, labels = false)
+final class DCHSolution(g0: RoadGraph)
+    extends PostMHLSolution(g0, tau = -1, ke = 1, threads = 1, "DCH", Seq(0 -> "BiDij", 1 -> "CH"))
 
 /** DH2H [33]: global H2H with shortcut + label maintenance; BiDijkstra
   * covers the entire (long) maintenance window — the paper's setup for
   * index-based baselines.
   */
-final class DH2HSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "DH2H", ch = false, labels = true)
+final class DH2HSolution(g0: RoadGraph)
+    extends PostMHLSolution(g0, tau = -1, ke = 1, threads = 1, "DH2H", Seq(0 -> "BiDij", 4 -> "H2H"))
 
 /** MHL (§V-A): the non-partitioned multi-stage index — DH2H extended with
   * the CH stage released between shortcut and label maintenance.
   */
-final class MHLSolution(g0: RoadGraph) extends GlobalMHLSolution(g0, "MHL", ch = true, labels = true)
+final class MHLSolution(g0: RoadGraph)
+    extends PostMHLSolution(g0, tau = -1, ke = 1, threads = 1, "MHL", Seq(0 -> "BiDij", 1 -> "CH", 4 -> "H2H"))
 
 /** TOAIN [37] adapted to dynamic networks exactly as the paper does: a
   * static CH(SCOB)-style index whose shortcuts are *refreshed* (rebuilt)

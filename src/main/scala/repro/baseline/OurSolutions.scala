@@ -46,22 +46,28 @@ final class NCHPSolution(g0: RoadGraph, k: Int, threads: Int)
 final class PTDPSolution(g0: RoadGraph, k: Int, threads: Int)
     extends PMHLSolution(g0, k, threads, stages = 4) { override val name = "P-TD-P" }
 
-/** PostMHL (§VI) as a Solution: four query stages (Figure 9). */
-final class PostMHLSolution(g0: RoadGraph, tau: Int, ke: Int, threads: Int) extends Solution {
+/** PostMHL (§VI) as a Solution. `released` lists the query stages it
+  * releases in order, each as the U-stage (0-based) after which it serves
+  * and its label; the index runs past U2 only if a stage needs it. The
+  * default is PostMHL's four stages (Figure 9).
+  */
+class PostMHLSolution(g0: RoadGraph, tau: Int, ke: Int, threads: Int,
+                      val name: String = "PostMHL",
+                      released: Seq[(Int, String)] =
+                        Seq(0 -> "BiDij", 1 -> "PCH", 3 -> "PostB-H2H", 4 -> "CrossB-H2H"))
+    extends Solution {
   val graph: RoadGraph = g0.copyWeights()
-  val name = "PostMHL"
   private val t0 = System.nanoTime()
-  val index = new PostMHL(graph, tau, ke, 0.1, 2.0, threads)
+  val index = new PostMHL(graph, tau, ke, 0.1, 2.0, threads, stages = if (released.last._1 < 2) 2 else 5)
   val buildSeconds: Double = (System.nanoTime() - t0) / 1e9
   def indexEntries: Long = index.indexEntries
+  /** The fastest query served once U-stage u (0-based) completes. */
+  private val servedAfter = IndexedSeq[(Int, Int) => Int](
+    index.queryBiDijkstra, index.queryPCH, index.queryPCH, index.queryPost, index.queryFull)
   def applyBatch(batch: Seq[(Int, Int, Int)]): IndexedSeq[QueryStage] = {
     val st = index.applyUpdateBatch(batch)
-    IndexedSeq(
-      QueryStage(st.t(0), "BiDij", index.queryBiDijkstra),
-      QueryStage(st.t(1), "PCH", index.queryPCH),
-      QueryStage(st.t(3), "PostB-H2H", index.queryPost),
-      QueryStage(st.t(4), "CrossB-H2H", index.queryFull),
-    )
+    released.map { case (u, label) => QueryStage(st.t(u), label, servedAfter(u)) }.toIndexedSeq
   }
-  def bestQuery(s: Int, t: Int): Int = index.queryFull(s, t)
+  def bestQuery(s: Int, t: Int): Int =
+    if (index.stages == 2) index.queryPCH(s, t) else index.queryFull(s, t)
 }

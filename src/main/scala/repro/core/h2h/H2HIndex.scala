@@ -16,15 +16,16 @@ import scala.collection.mutable
   * it). Few affected vertices against many rows under them take the entry
   * pass, which recomputes only the entries a changed shortcut or a changed
   * entry above can reach; otherwise the subtree pass recomputes every row.
+  * It is the one label update after a shortcut sweep; a `descend` filter
+  * keeps either pass out of some subtrees (PostMHL's partitions, PMHL's
+  * non-boundary rows of T*).
   *
-  * The full-row pass [[relabel]], which may be kept out of some subtrees,
-  * also labels PMHL's index over T* ([[repro.core.pmhl.PMHL]]: its
-  * boundary rows, the overlay labels, and each partition's non-boundary
-  * subtrees, `L*`, as separate passes), its post-boundary forest and
-  * PostMHL's overlay rows. The recurrence ([[relax]] over a depth range,
-  * [[relaxAt]] over a list of depths) and the subtree [[walk]] also serve
-  * PostMHL's post- and cross-boundary passes, whose index parts are depth
-  * sets of one label array.
+  * The full-row pass [[relabel]], which takes the same filter, builds the
+  * labels and relabels PMHL's `L*` rows from a partition's attach roots.
+  * The recurrence ([[relax]] over a depth range, [[relaxAt]] over a list
+  * of depths) and the subtree [[walk]] also serve PostMHL's post- and
+  * cross-boundary passes, whose index parts are depth sets of one label
+  * array.
   */
 final class H2HIndex(val td: UpwardGraph) {
   import TD.Inf
@@ -127,34 +128,59 @@ final class H2HIndex(val td: UpwardGraph) {
 
   /** DH2H top-down maintenance [33] after the shortcut arrays of the
     * `affected` vertices changed: recomputes labels under their
-    * [[UpwardGraph.subtreeTops]] and returns the vertices whose labels
-    * changed, in walk order. The entry pass runs when `affected` is less
-    * than [[H2HIndex.EntryShare]] of the rows under the tops, the subtree
-    * pass otherwise; both give the same labels and the same result. Neither
+    * [[UpwardGraph.subtreeTops]], entering only children for which
+    * `descend` holds, and returns the vertices whose labels changed, in
+    * walk order. The entry pass runs when `affected` is less than
+    * [[H2HIndex.EntryShare]] of the rows the walk enters, the subtree pass
+    * otherwise; both give the same labels and the same result. Neither
     * writes into a row array that was published before the call.
     */
-  def updateSubtrees(affected: Array[Int]): Array[Int] = updateSubtrees(affected, H2HIndex.Auto)
+  def updateSubtrees(affected: Array[Int], descend: Int => Boolean = _ => true): Array[Int] =
+    updateSubtrees(affected, descend, H2HIndex.Auto)
 
   /** [[updateSubtrees]] with the pass chosen by `pass` (tests force one). */
-  private[core] def updateSubtrees(affected: Array[Int], pass: H2HIndex.Pass): Array[Int] = {
+  private[core] def updateSubtrees(affected: Array[Int], pass: H2HIndex.Pass): Array[Int] =
+    updateSubtrees(affected, _ => true, pass)
+
+  private[core] def updateSubtrees(affected: Array[Int], descend: Int => Boolean,
+                                   pass: H2HIndex.Pass): Array[Int] = {
     val tops = td.subtreeTops(affected)
     val entry = pass match {
       case H2HIndex.Entry => true
       case H2HIndex.Subtree => false
-      case H2HIndex.Auto =>
-        var rows = 0L
-        tops.foreach(rows += td.subtreeSize(_))
-        affected.length < H2HIndex.EntryShare * rows
+      case H2HIndex.Auto => entryPays(affected.length, tops, descend)
     }
-    if (!entry) return relabel(tops)
+    if (!entry) return relabel(tops, descend)
     val changed = new mutable.ArrayBuilder.ofInt
-    val ep = new EntryPass(affected, new Array[Array[Int]](td.height), changed)
+    val ep = new EntryPass(affected, descend, new Array[Array[Int]](td.height), changed)
     tops.foreach(ep.run)
     changed.result()
   }
 
-  /** The entry pass of [[updateSubtrees]]: a top-down [[walk]] that
-    * recomputes entry (v, j) only if
+  /** The `Auto` rule: are `affected` vertices less than
+    * [[H2HIndex.EntryShare]] of the rows a [[walk]] of `tops`' subtrees
+    * under `descend` enters? Counts those rows until they are.
+    */
+  private def entryPays(affected: Int, tops: Array[Int], descend: Int => Boolean): Boolean = {
+    var rows = 0L
+    var stack = new Array[Int](64)
+    for (top <- tops) {
+      stack(0) = top; var size = 1
+      while (size > 0) {
+        size -= 1
+        rows += 1
+        if (affected < H2HIndex.EntryShare * rows) return true
+        val ch = td.children(stack(size))
+        if (size + ch.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (size + ch.length))
+        var i = 0
+        while (i < ch.length) { if (descend(ch(i))) { stack(size) = ch(i); size += 1 }; i += 1 }
+      }
+    }
+    false
+  }
+
+  /** The entry pass of [[updateSubtrees]]: a top-down [[walk]] under
+    * `descend` that recomputes entry (v, j) only if
     *  - v is affected (then the whole row), or
     *  - `dis(x)(j)` changed for a bag member x deeper than j, or
     *  - `dis(a_j)(depth x)` changed for a bag member x above j,
@@ -170,8 +196,8 @@ final class H2HIndex(val td: UpwardGraph) {
     * candidate columns and copies the row when the first entry moves.
     * Either keeps the old array if nothing changed.
     */
-  private final class EntryPass(affected: Array[Int], pathDis: Array[Array[Int]],
-                                changed: mutable.ArrayBuilder.ofInt) {
+  private final class EntryPass(affected: Array[Int], descend: Int => Boolean,
+                                pathDis: Array[Array[Int]], changed: mutable.ArrayBuilder.ofInt) {
     private val words = (td.height + 63) >>> 6
     private val isAffected = new Array[Boolean](td.n)
     affected.foreach(isAffected(_) = true)
@@ -184,7 +210,7 @@ final class H2HIndex(val td: UpwardGraph) {
     def run(top: Int): Unit = {
       var d = 0
       while (d < td.depth(top)) { clearDepth(d); d += 1 }
-      walk(top, pathDis, _ => true)(label)
+      walk(top, pathDis, descend)(label)
     }
 
     private def clearDepth(d: Int): Unit = {

@@ -58,27 +58,6 @@ class UpwardGraph(
   /** Lowest common ancestor of s and t; -1 if in different components. */
   def lca(s: Int, t: Int): Int = treeLca.lca(s, t)
 
-  /** Number of vertices in each vertex's subtree, itself included: the
-    * rows a top-down label pass from that vertex visits.
-    */
-  lazy val subtreeSize: Array[Int] = {
-    // Breadth-first order lists every parent before its children, so the
-    // reverse order adds each finished subtree to its parent.
-    val order = new Array[Int](n)
-    var len = roots.length
-    System.arraycopy(roots, 0, order, 0, len)
-    var i = 0
-    while (i < len) {
-      val ch = children(order(i))
-      System.arraycopy(ch, 0, order, len, ch.length)
-      len += ch.length; i += 1
-    }
-    val size = Array.fill(n)(1)
-    i = n - 1
-    while (i >= 0) { val v = order(i); if (parent(v) != -1) size(parent(v)) += size(v); i -= 1 }
-    size
-  }
-
   /** The members of `affected` with no affected proper ancestor: the roots
     * of the subtrees a top-down label pass must redo, in input order.
     *

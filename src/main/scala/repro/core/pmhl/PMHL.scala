@@ -114,7 +114,6 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
   /** T*: parent (-1 for a root) and depth of every vertex. */
   var parentStar: Array[Int] = _
   var depthStar: Array[Int] = _
-  private var star: UpwardGraph = _
   /** H2H labels of T*: the overlay labels at boundary vertices, `L*` at
     * the others (null rows below `stages = 5`).
     */
@@ -190,7 +189,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
         v += 1
       }
       for (i <- 0 until k) attachRows(i, parentStar, depthStar, bagStar, scStar)
-      star = new UpwardGraph(parentStar, depthStar, bagStar, scStar)
+      val star = new UpwardGraph(parentStar, depthStar, bagStar, scStar)
       pchQuery = new CHQuery(star)
       if (labels) {
         star.buildLca()
@@ -372,7 +371,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
     val labelTasks =
       (0 until k).filter(partScTouched)
         .map(i => () => { labPart(i).updateSubtrees(partAffected(i)); () }) :+
-      (() => { changedOvLabels = labOv.relabel(star.subtreeTops(ovRes.affected), boundary(_)); () })
+      (() => { changedOvLabels = labOv.updateSubtrees(ovRes.affected, boundary(_)); () })
     Parallel.run(labelTasks, threads)
     val ovChanged = new Array[Boolean](n)
     changedOvLabels.foreach(ovChanged(_) = true)

@@ -33,10 +33,16 @@ import repro.util.Parallel
   * Stages (Figure 9): U1 edge → U2 shortcuts (partition sweeps in
   * parallel, then one overlay sweep) → U3 overlay labels → U4 post-boundary ∥
   * U5 cross-boundary. Queries: BiDijkstra → PCH → post-boundary → full H2H.
+  *
+  * `stages = 2` keeps only the shortcut arrays (no labels, no LCA). With
+  * τ < 0 no bag fits, so k = 0: U2 is one sweep, U3 is DH2H's label update
+  * over the whole tree, U4 and U5 are empty and the full query is DH2H's.
+  * The global baselines DCH (`stages = 2`), DH2H and MHL are this index.
   */
 final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
-                    val betaL: Double, val betaU: Double, val threads: Int) {
+                    val betaL: Double, val betaU: Double, val threads: Int, val stages: Int = 5) {
   import TD.Inf
+  require(stages == 2 || stages == 5, s"stages must be 2 or 5, not $stages")
 
   val n: Int = g.n
   /** Build seconds: MDE, TD-partitioning, overlay, post-, cross-boundary. */
@@ -71,12 +77,10 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
   }
 
   // ---------------- construction ----------------
-  timeIt(2) { td.buildLca(); labels.relabel(td.roots.filter(partOf(_) == -1), partOf(_) == -1) }
-  timeIt(3) {
-    Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads)
-  }
-  timeIt(4) {
-    Parallel.run((0 until k).map(i => () => buildCross(i, Array(roots(i)))), threads)
+  if (stages == 5) {
+    timeIt(2) { td.buildLca(); labels.relabel(td.roots.filter(partOf(_) == -1), partOf(_) == -1) }
+    timeIt(3) { Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads) }
+    timeIt(4) { Parallel.run((0 until k).map(i => () => buildCross(i, Array(roots(i)))), threads) }
   }
 
   /** Post-boundary pass (Algorithm 4 lines 5-31) over the subtrees of
@@ -160,13 +164,13 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
 
   // ---------------- maintenance ----------------
 
-  /** Apply one update batch through U-Stages 1-5 (Figure 9); returns
-    * cumulative completion times [edge, shortcuts, overlay labels,
-    * post-boundary, cross-boundary].
+  /** Apply one update batch through the first `stages` of U-Stages 1-5
+    * (Figure 9); returns their cumulative completion times [edge,
+    * shortcuts, overlay labels, post-boundary, cross-boundary].
     */
   def applyUpdateBatch(batch: Seq[(Int, Int, Int)]): StageTimes = {
     val t0 = System.nanoTime()
-    val times = new Array[Double](5)
+    val times = new Array[Double](stages)
     def mark(i: Int): Unit = times(i) = (System.nanoTime() - t0) / 1e9
 
     // U1: on-spot edge update.
@@ -188,30 +192,27 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     handOff.foreach(m => if (m != null) ovMarks.or(m))
     val ovRes = upd.sweep(ovMarks, partOf(_) == -1)
     mark(1)
+    if (stages == 2) return StageTimes(times)
 
-    // U3: overlay label update from the highest affected overlay vertices.
-    //
-    // Because PostMHL's dis arrays ARE the H2H labels of the global tree,
-    // a label entry (overlay, post or cross) can only change inside the
-    // subtree of a shortcut-affected vertex. So the update scope below is
-    // exactly DH2H's, split into the paper's partition-parallel stages:
-    //  - a partition whose root lies under an affected *overlay* top is
+    // U3: overlay labels under the affected overlay vertices. The dis
+    // arrays are the H2H labels of the global tree, so an entry (overlay,
+    // post or cross) can change only under a shortcut-affected vertex; the
+    // scope is DH2H's, split into the paper's partition-parallel stages:
+    //  - a partition whose root lies under an affected overlay vertex is
     //    rebuilt fully;
     //  - otherwise only the subtrees of its own affected vertices rerun;
-    //  - untouched partitions are skipped entirely (the boundary labels
-    //    their U4 reads cannot have changed: a changed label of b ∈ B_i
-    //    implies an affected overlay top above b, hence above the root —
-    //    the full-rebuild case).
-    val ovTops: Array[Int] = td.subtreeTops(ovRes.affected)
-    labels.relabel(ovTops, partOf(_) == -1)
+    //  - untouched partitions are skipped (a changed label of b ∈ B_i, which
+    //    their U4 reads, implies an affected overlay vertex above b, hence
+    //    above the root).
+    labels.updateSubtrees(ovRes.affected, partOf(_) == -1)
     mark(2)
 
-    val isOvTop = new Array[Boolean](n)
-    ovTops.foreach(isOvTop(_) = true)
-    val fullRebuild: Array[Boolean] = Array.tabulate(k) { i =>
-      var a = td.parent(roots(i)); var hit = false
-      while (a != -1 && !hit) { if (isOvTop(a)) hit = true; a = td.parent(a) }
-      hit
+    val ovAffected = new Array[Boolean](n)
+    ovRes.affected.foreach(ovAffected(_) = true)
+    val fullRebuild: Array[Boolean] = roots.map { r =>
+      var a = td.parent(r)
+      while (a != -1 && !ovAffected(a)) a = td.parent(a)
+      a != -1
     }
 
     // U4: post-boundary update (partition-parallel); U5 redoes the same

@@ -72,6 +72,17 @@ final class TD(
   /** Treewidth proxy: max bag size. */
   lazy val maxBagSize: Int = if (n == 0) 0 else bag.map(_.length).max
 
+  /** Number of vertices in each vertex's subtree, itself included. A
+    * parent ranks above its children, so ascending rank adds each finished
+    * subtree to its parent.
+    */
+  lazy val subtreeSize: Array[Int] = {
+    val size = Array.fill(n)(1)
+    var r = 0
+    while (r < n) { val v = order(r); if (parent(v) != -1) size(parent(v)) += size(v); r += 1 }
+    size
+  }
+
   /** Total number of shortcut slots (the CH index size). */
   lazy val slotCount: Long = bag.map(_.length.toLong).sum
 }

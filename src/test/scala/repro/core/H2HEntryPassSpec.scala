@@ -5,6 +5,7 @@ import repro.graph.{Datasets, RoadGraph}
 import repro.core.h2h.H2HIndex
 import repro.core.sp.Dijkstra
 import repro.core.td.{MDE, ShortcutUpdater}
+import repro.partition.TDPartitioner
 import scala.util.Random
 
 /** `H2HIndex.updateSubtrees`' two passes: the entry pass, which recomputes
@@ -102,4 +103,44 @@ class H2HEntryPassSpec extends AnyFunSuite {
         assert(java.util.Arrays.equals(refs(v), snap(v)), s"batch $b: row $v written in place")
     }
   }
+
+  test("with a descend filter that leaves out partition subtrees, entry pass == subtree pass") {
+    // PostMHL's U3: the overlay's affected vertices, a walk that stops at
+    // the TD-partition roots, and partition rows left to later stages.
+    val g = Datasets.FLA.build()
+    val td = MDE.decompose(g.n, g.undirectedEdges)
+    val tdp = TDPartitioner.partition(td, Datasets.FLA.tau, Datasets.FLA.ke)
+    assert(tdp.k >= 2, s"want partitions, got k = ${tdp.k}")
+    val overlay: Int => Boolean = tdp.partOf(_) == -1
+    val upd = new ShortcutUpdater(td)
+    val passes = Seq(H2HIndex.Subtree, H2HIndex.Entry, H2HIndex.Auto)
+    val idx = passes.map { _ => val h = new H2HIndex(td); h.build(); h }
+    var moved = 0L
+    for (b <- 1 to Batches) {
+      val batch = Datasets.updateBatch(g, g.n / 500, 1500 + b)
+      Datasets.applyBatch(g, batch)
+      val affected = upd.applyInputChanges(batch).affected.filter(overlay)
+      val res = passes.zip(idx).map { case (pass, h) =>
+        val refs = h.dis.clone()
+        (pass, h, h.updateSubtrees(affected, overlay, pass), refs)
+      }
+      val (_, hs, cs, refsS) = res.head
+      val rowsChanged = hs.dis.indices.filter(v => !java.util.Arrays.equals(refsS(v), hs.dis(v)))
+      assert(cs.sorted.toSeq == rowsChanged, s"batch $b: subtree pass result")
+      for ((pass, h, c, refs) <- res) {
+        assert(sameLabels(hs, h), s"batch $b: $pass labels differ from the subtree pass")
+        assert(c.sorted.toSeq == rowsChanged, s"batch $b: $pass result")
+        for (v <- refs.indices if !overlay(v))
+          assert(h.dis(v) eq refs(v), s"batch $b: $pass replaced partition row $v")
+      }
+      // The overlay rows read only overlay ancestors, so they are the
+      // labels a full build gives.
+      val full = new H2HIndex(td); full.build()
+      for (v <- 0 until g.n if overlay(v))
+        assert(java.util.Arrays.equals(full.dis(v), hs.dis(v)), s"batch $b: overlay row $v")
+      moved += rowsChanged.length
+    }
+    assert(moved > 0, "no overlay label moved")
+  }
 }
+
