@@ -1,6 +1,8 @@
 package repro.core.h2h
 
 import repro.core.td.TD
+import repro.util.Parallel
+import java.util.concurrent.atomic.AtomicIntegerArray
 import scala.collection.mutable
 
 /** H2H distance labels [22] over an [[UpwardGraph]]: a [[TD]], or PMHL's
@@ -22,6 +24,11 @@ import scala.collection.mutable
   *
   * The full-row pass [[relabel]], which takes the same filter, builds the
   * labels and relabels PMHL's `L*` rows from a partition's attach roots.
+  * On p > 1 threads it computes the rows in p column blocks: the
+  * recurrence reads only ancestors' rows, so the columns of one row are
+  * independent once the rows above exist. Task b fills its block of every
+  * row in walk order and waits only for the lower blocks of the path row
+  * at the last depth its block reads ([[ColumnBlocks]]).
   * The recurrence ([[relax]] over a depth range, [[relaxAt]] over a list
   * of depths) and the subtree [[walk]] also serve PostMHL's post- and
   * cross-boundary passes, whose index parts are depth sets of one label
@@ -85,6 +92,28 @@ final class H2HIndex(val td: UpwardGraph) {
     arr
   }
 
+  /** Visits `top`'s subtree parents first, entering only children for
+    * which `descend` holds: the walk order of every label pass.
+    */
+  private def preorder(top: Int, descend: Int => Boolean)(visit: Int => Unit): Unit = {
+    var stack = Array(top); var size = 1
+    while (size > 0) {
+      size -= 1
+      val v = stack(size)
+      visit(v)
+      val ch = td.children(v)
+      if (size + ch.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (size + ch.length))
+      var i = 0
+      while (i < ch.length) { if (descend(ch(i))) { stack(size) = ch(i); size += 1 }; i += 1 }
+    }
+  }
+
+  /** Fills `pathDis` above `top` from the current labels. */
+  private def pathAbove(top: Int, pathDis: Array[Array[Int]]): Unit = {
+    var x = td.parent(top)
+    while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
+  }
+
   /** Top-down walk of `top`'s subtree, entering only children for which
     * `descend` holds: each visited `v` gets `dis(v) = label(v)`, which is
     * then `pathDis(depth(v))` for its descendants. The path above `top` is
@@ -92,18 +121,11 @@ final class H2HIndex(val td: UpwardGraph) {
     */
   private[core] def walk(top: Int, pathDis: Array[Array[Int]], descend: Int => Boolean)
                         (label: Int => Array[Int]): Unit = {
-    var x = td.parent(top)
-    while (x != -1) { pathDis(td.depth(x)) = dis(x); x = td.parent(x) }
-    var stack = Array(top); var size = 1
-    while (size > 0) {
-      size -= 1
-      val v = stack(size)
-      dis(v) = label(v)
-      pathDis(td.depth(v)) = dis(v)
-      val ch = td.children(v)
-      if (size + ch.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (size + ch.length))
-      var i = 0
-      while (i < ch.length) { if (descend(ch(i))) { stack(size) = ch(i); size += 1 }; i += 1 }
+    pathAbove(top, pathDis)
+    preorder(top, descend) { v =>
+      val row = label(v)
+      dis(v) = row
+      pathDis(td.depth(v)) = row
     }
   }
 
@@ -114,8 +136,17 @@ final class H2HIndex(val td: UpwardGraph) {
     * only children for which `descend` holds, that gives every visited
     * vertex a fresh row from [[computeDis]]. Returns the vertices whose row
     * changed, in walk order.
+    *
+    * With `threads` = p > 1 up to p tasks compute the rows in column blocks
+    * ([[ColumnBlocks]]), with the same rows and the same result. At p = 1,
+    * or when the visited rows have too few columns for two blocks, it is
+    * one block: the walk, each row published as it is computed. It is
+    * also the walk when a top lies under a row visited from an earlier top,
+    * which the column blocks would read before it is published.
     */
-  def relabel(tops: Array[Int], descend: Int => Boolean = _ => true): Array[Int] = {
+  def relabel(tops: Array[Int], descend: Int => Boolean = _ => true, threads: Int = 1): Array[Int] = {
+    val blocks = if (threads > 1) columnBlocks(tops, descend, threads) else null
+    if (blocks != null) return blocks.run()
     val changed = new mutable.ArrayBuilder.ofInt
     val pathDis = new Array[Array[Int]](td.height)
     tops.foreach(walk(_, pathDis, descend) { v =>
@@ -126,6 +157,142 @@ final class H2HIndex(val td: UpwardGraph) {
     changed.result()
   }
 
+  /** The [[ColumnBlocks]] pass of [[relabel]] with at most `p` blocks, or
+    * null if the walk is one block or revisits a row. The cuts balance the
+    * blocks' work, Σ|bag(v)| over the visited rows v having each column
+    * (the columns of v are the depths of its proper ancestors).
+    */
+  private[core] def columnBlocks(tops: Array[Int], descend: Int => Boolean, p: Int): ColumnBlocks = {
+    val visited = new java.util.BitSet(td.n)
+    val order = new mutable.ArrayBuilder.ofInt
+    val topStart = new Array[Int](tops.length + 1)
+    /** Σ|bag| of the visited rows at each depth. */
+    val bagAt = new Array[Long](td.height)
+    var count = 0; var deepest = 0; var revisit = false
+    var t = 0
+    while (t < tops.length) {
+      var x = td.parent(tops(t))
+      while (x != -1) { if (visited.get(x)) return null; x = td.parent(x) }
+      topStart(t) = count
+      preorder(tops(t), descend) { v =>
+        if (visited.get(v)) revisit = true
+        visited.set(v); order += v; count += 1
+        val dv = td.depth(v)
+        bagAt(dv) += td.bag(v).length
+        if (dv > deepest) deepest = dv
+      }
+      if (revisit) return null
+      t += 1
+    }
+    topStart(tops.length) = count
+    // cost(j) = Σ over the depths d > j of bagAt(d), for the columns j < deepest.
+    val cost = new Array[Long](deepest)
+    var total = 0L; var suffix = 0L
+    var j = deepest - 1
+    while (j >= 0) { suffix += bagAt(j + 1); cost(j) = suffix; total += suffix; j -= 1 }
+    val cuts = new mutable.ArrayBuilder.ofInt
+    cuts += 0
+    var acc = 0L; var b = 1
+    j = 0
+    while (j < deepest - 1 && b < p) {
+      acc += cost(j)
+      if (acc * p >= b * total) { cuts += j + 1; b += 1 }
+      j += 1
+    }
+    cuts += deepest
+    val c = cuts.result()
+    if (c.length < 3) null else new ColumnBlocks(order.result(), tops, topStart, c)
+  }
+
+  /** The column-block form of [[relabel]]: `order` is the walk's rows in
+    * walk order, the walk of `tops(t)` starting at `topStart(t)`, and task
+    * b of p = `cuts.length - 1` computes columns [cuts(b), cuts(b + 1)) of
+    * every row, in walk order, into rows allocated up front.
+    *
+    * Entry (v, j) reads column j of v's deeper bag members, which task b
+    * wrote itself earlier in the walk, and columns below j of the path row
+    * at depth j. So before row v at depth dv, task b waits until every
+    * lower task has finished the path row at depth min(dv, cuts(b + 1)) − 1,
+    * the last in walk order of the path rows it reads; a row above a top is
+    * a published label and needs no wait. Each task counts the rows it has
+    * finished (a release store) and keeps the walk position of each path
+    * depth; there is no barrier per row. A wait spins, then yields, since a
+    * vCPU can be descheduled, and gives up once any task has failed, so a
+    * failure ends the call. The rows go into `dis` only after every task
+    * has finished: a reader never sees a partial row.
+    */
+  private[core] final class ColumnBlocks(order: Array[Int], tops: Array[Int], topStart: Array[Int],
+                                         val cuts: Array[Int]) {
+    private val p = cuts.length - 1
+    private val rows = order.map(v => new Array[Int](td.depth(v) + 1))
+    /** `moved(i)`: some block of row i differs from the published row. */
+    private val moved = new Array[Boolean](order.length)
+    /** Rows finished by task b, at `b * Pad`. */
+    private val done = new AtomicIntegerArray(p * H2HIndex.Pad)
+    @volatile private var failed = false
+
+    def run(): Array[Int] = {
+      Parallel.run((0 until p).map(b => () => block(b)), p)
+      val changed = new mutable.ArrayBuilder.ofInt
+      var i = 0
+      while (i < order.length) {
+        val v = order(i)
+        if (moved(i) || dis(v) == null) changed += v
+        dis(v) = rows(i)
+        i += 1
+      }
+      changed.result()
+    }
+
+    private def block(b: Int): Unit =
+      try fill(b) catch { case e: Throwable => failed = true; throw e }
+
+    private def fill(b: Int): Unit = {
+      val lo = cuts(b); val hi = cuts(b + 1)
+      val pathDis = new Array[Array[Int]](td.height)
+      /** Walk position of the path row at each depth; -1 above the top. */
+      val pathPos = new Array[Int](td.height)
+      /** The last count read from each lower task. */
+      val seen = new Array[Int](b)
+      var t = 0; var i = 0
+      while (i < order.length) {
+        if (failed) throw new Parallel.Abandoned
+        if (i == topStart(t)) {
+          pathAbove(tops(t), pathDis)
+          java.util.Arrays.fill(pathPos, 0, td.depth(tops(t)), -1)
+          t += 1
+        }
+        val v = order(i); val dv = td.depth(v); val row = rows(i)
+        if (dv > lo) {
+          val e = math.min(dv, hi)
+          val need = pathPos(e - 1)
+          if (b > 0 && need >= 0) await(b, need, seen)
+          relax(v, pathDis, lo, e, row)
+          val old = dis(v)
+          if (old == null || !java.util.Arrays.equals(row, lo, e, old, lo, e)) moved(i) = true
+        }
+        pathDis(dv) = row; pathPos(dv) = i
+        done.lazySet(b * H2HIndex.Pad, i + 1)
+        i += 1
+      }
+    }
+
+    /** Waits until every task below b has finished the row at walk
+      * position `pos`.
+      */
+    private def await(b: Int, pos: Int, seen: Array[Int]): Unit = {
+      var c = 0
+      while (c < b) {
+        var spins = 0
+        while (seen(c) <= pos && { seen(c) = done.get(c * H2HIndex.Pad); seen(c) <= pos }) {
+          if (failed) throw new Parallel.Abandoned
+          if (spins < H2HIndex.Spins) { Thread.onSpinWait(); spins += 1 } else Thread.`yield`()
+        }
+        c += 1
+      }
+    }
+  }
+
   /** DH2H top-down maintenance [33] after the shortcut arrays of the
     * `affected` vertices changed: recomputes labels under their
     * [[UpwardGraph.subtreeTops]], entering only children for which
@@ -133,24 +300,30 @@ final class H2HIndex(val td: UpwardGraph) {
     * walk order. The entry pass runs when `affected` is less than
     * [[H2HIndex.EntryShare]] of the rows the walk enters, the subtree pass
     * otherwise; both give the same labels and the same result. Neither
-    * writes into a row array that was published before the call.
+    * writes into a row array that was published before the call. The
+    * subtree pass is [[relabel]] on `threads`; the entry pass is serial.
     */
-  def updateSubtrees(affected: Array[Int], descend: Int => Boolean = _ => true): Array[Int] =
-    updateSubtrees(affected, descend, H2HIndex.Auto)
+  def updateSubtrees(affected: Array[Int], descend: Int => Boolean = _ => true,
+                     threads: Int = 1): Array[Int] =
+    updateSubtrees(affected, descend, H2HIndex.Auto, threads)
 
   /** [[updateSubtrees]] with the pass chosen by `pass` (tests force one). */
   private[core] def updateSubtrees(affected: Array[Int], pass: H2HIndex.Pass): Array[Int] =
-    updateSubtrees(affected, _ => true, pass)
+    updateSubtrees(affected, _ => true, pass, 1)
 
   private[core] def updateSubtrees(affected: Array[Int], descend: Int => Boolean,
-                                   pass: H2HIndex.Pass): Array[Int] = {
+                                   pass: H2HIndex.Pass): Array[Int] =
+    updateSubtrees(affected, descend, pass, 1)
+
+  private[core] def updateSubtrees(affected: Array[Int], descend: Int => Boolean,
+                                   pass: H2HIndex.Pass, threads: Int): Array[Int] = {
     val tops = td.subtreeTops(affected)
     val entry = pass match {
       case H2HIndex.Entry => true
       case H2HIndex.Subtree => false
       case H2HIndex.Auto => entryPays(affected.length, tops, descend)
     }
-    if (!entry) return relabel(tops, descend)
+    if (!entry) return relabel(tops, descend, threads)
     val changed = new mutable.ArrayBuilder.ofInt
     val ep = new EntryPass(affected, descend, new Array[Array[Int]](td.height), changed)
     tops.foreach(ep.run)
@@ -338,6 +511,14 @@ object H2HIndex {
     * FLA-lite, and slower above.
     */
   private[core] val EntryShare = 0.07
+
+  /** Stride of the column-block tasks' row counts, in ints: one 64-byte
+    * cache line each.
+    */
+  private val Pad = 16
+
+  /** Spins of a column-block wait before it yields its thread. */
+  private val Spins = 256
 
   /** One bag member's term of the H2H recurrence: for a member x at depth
     * `dx` with shortcut weight `sc`, lowers `arr(j)`, j in [lo, hi), to

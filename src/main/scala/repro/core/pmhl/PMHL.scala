@@ -194,7 +194,7 @@ final class PMHL(val g: RoadGraph, val k: Int, val threads: Int, val stages: Int
       if (labels) {
         star.buildLca()
         labOv = new H2HIndex(star)
-        labOv.relabel(star.roots.filter(boundary), boundary(_))
+        labOv.relabel(star.roots.filter(boundary), boundary(_), threads)
         val parent = new Array[Int](n); val depth = new Array[Int](n)
         val bag = new Array[Array[Int]](n); val sc = new Array[Array[Int]](n)
         Parallel.run((0 until k).map(i => () => {

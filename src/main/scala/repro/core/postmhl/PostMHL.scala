@@ -78,7 +78,7 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
 
   // ---------------- construction ----------------
   if (stages == 5) {
-    timeIt(2) { td.buildLca(); labels.relabel(td.roots.filter(partOf(_) == -1), partOf(_) == -1) }
+    timeIt(2) { td.buildLca(); labels.relabel(td.roots.filter(partOf(_) == -1), partOf(_) == -1, threads) }
     timeIt(3) { Parallel.run((0 until k).map(i => () => buildPost(i, Array(roots(i)))), threads) }
     timeIt(4) { Parallel.run((0 until k).map(i => () => buildCross(i, Array(roots(i)))), threads) }
   }
@@ -204,7 +204,9 @@ final class PostMHL(val g: RoadGraph, val tau: Int, val ke: Int,
     //  - untouched partitions are skipped (a changed label of b ∈ B_i, which
     //    their U4 reads, implies an affected overlay vertex above b, hence
     //    above the root).
-    labels.updateSubtrees(ovRes.affected, partOf(_) == -1)
+    // Its subtree pass computes the overlay rows in column blocks on
+    // `threads` (H2HIndex.relabel), so U3 is not a serial stage.
+    labels.updateSubtrees(ovRes.affected, partOf(_) == -1, threads)
     mark(2)
 
     val ovAffected = new Array[Boolean](n)

@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.{Seconds, Span}
+import java.util.concurrent.CountDownLatch
+import java.util.concurrent.atomic.AtomicInteger
 import repro.util.{Parallel, TreeLca}
 import repro.throughput.{Measure, Params, StageProfile}
 import repro.graph.Datasets
@@ -9,7 +13,7 @@ import scala.util.Random
 /** Utilities: generic forest LCA, bounded parallel runner, measurement
   * harness, and parameter registry.
   */
-class UtilSpec extends AnyFunSuite {
+class UtilSpec extends AnyFunSuite with TimeLimits {
 
   test("TreeLca agrees with parent-walk on a random forest") {
     val n = 200
@@ -63,6 +67,30 @@ class UtilSpec extends AnyFunSuite {
       ()
     }), 3)
     assert(maxSeen.get() <= 3, s"saw ${maxSeen.get()} concurrent tasks with p=3")
+  }
+
+  test("Parallel.run on a failure skips the tasks not started, waits for the running ones, rethrows the cause") {
+    implicit val signaler: Signaler = ThreadSignaler
+    failAfter(Span(60, Seconds)) {
+      val started = new AtomicInteger(); val running = new AtomicInteger()
+      val boom = new IllegalStateException("boom")
+      val slow = (1 to 40).map(_ => () => {
+        started.incrementAndGet(); running.incrementAndGet()
+        try Thread.sleep(20) finally running.decrementAndGet()
+        ()
+      })
+      val ex = intercept[IllegalStateException](Parallel.run((() => throw boom) +: slow, 2))
+      assert(ex eq boom)
+      assert(running.get == 0, "a task was still running when the call returned")
+      assert(started.get < slow.length, "the tasks not started still ran")
+      // A task that gave up because of another's failure does not replace
+      // that failure, even when it stops first.
+      val first = new CountDownLatch(1)
+      val ex2 = intercept[IllegalStateException](Parallel.run(Seq(
+        () => { first.countDown(); Thread.sleep(100); throw boom },
+        () => { first.await(); throw new Parallel.Abandoned }), 2))
+      assert(ex2 eq boom)
+    }
   }
 
   test("Parallel.map preserves order") {
